@@ -1,14 +1,13 @@
-"""Experiment ``core-hot`` — chain-kernel throughput (trial vs legacy).
+"""Experiment ``core-hot`` — chain-kernel throughput.
 
 The paper's whole speedup argument (§II, §V) rests on O(disc)
-incremental deltas; the trial/commit kernel pushes the constant down by
-refusing to pay the apply-then-unapply double rasterisation on the
-~60-98 % of iterations that reject.  This experiment measures the
-serial single-chain iterations/sec and the per-move-class
-rejection-cycle cost on both kernels, asserting bit-identical chains
-throughout — the wall-clock numbers land in BENCH_core.json via
-``scripts/bench_core.py``; this harness keeps them honest in the
-benchmark suite alongside the paper experiments.
+incremental deltas; the price/commit/rollback kernel keeps the constant
+down by pricing a proposal once and rolling a rejection back without
+re-rasterising — the ~60-98 % of iterations that reject.  This
+experiment measures the serial single-chain iterations/sec and the
+per-move-class rejection-cycle cost; the wall-clock numbers land in
+BENCH_core.json via ``scripts/bench_core.py``, this harness keeps them
+in the benchmark suite alongside the paper experiments.
 """
 
 
@@ -26,35 +25,21 @@ def run_experiment():
     return serial, classes
 
 
-def test_core_hot_path_speedup(benchmark, capsys):
+def test_core_hot_path(benchmark, capsys):
     serial, classes = benchmark.pedantic(run_experiment, iterations=1, rounds=1)
 
     t = Table(
-        "Chain kernel — trial/commit vs legacy apply/unapply (bit-identical chains)",
-        ["path", "trial it/s", "legacy it/s", "speedup"],
-        precision=2,
+        "Chain kernel — price/commit/rollback throughput",
+        ["path", "per second"],
+        precision=0,
     )
-    t.add_row([
-        "serial chain",
-        serial["trial_iters_per_second"],
-        serial["legacy_iters_per_second"],
-        serial["speedup"],
-    ])
+    t.add_row(["serial chain iterations", serial["trial_iters_per_second"]])
     for name, row in classes["classes"].items():
-        t.add_row([
-            f"{name} reject cycle",
-            row["trial_cycles_per_second"],
-            row["legacy_cycles_per_second"],
-            row["speedup"],
-        ])
+        t.add_row([f"{name} reject cycles", row["trial_cycles_per_second"]])
     emit(capsys, t.render())
 
-    # Parity is asserted inside the bench helpers (BenchmarkError on any
-    # divergence); here we additionally pin the headline claim: the
-    # trial kernel must beat the legacy reference on the serial chain.
-    assert serial["parity"] is True
-    assert serial["speedup"] > 1.0
-    # Classes with true trial support should all win their reject cycle.
+    # The rejected-cycle posterior invariant is asserted inside the bench
+    # helper (BenchmarkError); here every class must actually be priced.
+    assert serial["trial_iters_per_second"] > 0
     for name, row in classes["classes"].items():
-        if row["supports_trial"]:
-            assert row["speedup"] > 1.0, f"{name} reject cycle regressed"
+        assert row["priced_proposals"] > 0, f"{name} priced no proposals"

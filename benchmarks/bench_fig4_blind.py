@@ -12,8 +12,8 @@ one (no boundary duplicates/losses).
 
 
 from conftest import emit
-from repro.core.blind_pipeline import run_blind_pipeline
 from repro.core.evaluation import evaluate_model
+from repro.engine import DetectionRequest, run
 from repro.mcmc import MarkovChain, MoveGenerator, PosteriorState
 from repro.utils.tables import Table
 
@@ -28,11 +28,12 @@ def run_experiment(workload):
     chain = MarkovChain(post, MoveGenerator(workload.model, workload.moves), seed=7)
     seq = chain.run(ITERS_FULL)
 
-    pipeline = run_blind_pipeline(
-        workload.scene.image, workload.model, workload.moves,
-        iterations_per_partition=ITERS_PART, nx=2, ny=2,
-        overlap_factor=1.1, theta=workload.threshold, seed=8,
-    )
+    pipeline = run(DetectionRequest(
+        workload.scene.image, workload.model, workload.moves, ITERS_PART,
+        strategy="blind", executor="serial", seed=8,
+        options={"nx": 2, "ny": 2, "overlap_factor": 1.1,
+                 "theta": workload.threshold},
+    )).raw
     return seq, pipeline
 
 

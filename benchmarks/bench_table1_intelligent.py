@@ -16,7 +16,7 @@ with relative runtime far above the other two, and the overall saving
 
 from conftest import emit
 from repro.core.evaluation import evaluate_model
-from repro.core.intelligent_pipeline import run_intelligent_pipeline
+from repro.engine import DetectionRequest, run
 from repro.mcmc import MarkovChain, MoveGenerator, PosteriorState
 from repro.utils.tables import Table
 
@@ -31,11 +31,11 @@ def run_experiment(workload):
                         seed=5, record_every=100)
     seq = chain.run(ITERS_FULL)
 
-    pipeline = run_intelligent_pipeline(
-        workload.scene.image, workload.model, workload.moves,
-        iterations_per_partition=ITERS_PART, theta=workload.threshold,
-        min_gap=14, seed=6,
-    )
+    pipeline = run(DetectionRequest(
+        workload.scene.image, workload.model, workload.moves, ITERS_PART,
+        strategy="intelligent", executor="serial", seed=6,
+        options={"theta": workload.threshold, "min_gap": 14},
+    )).raw
     return seq, post, pipeline
 
 

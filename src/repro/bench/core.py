@@ -1,49 +1,36 @@
 """Chain-kernel hot-path benchmarks — the ``BENCH_core.json`` workload.
 
-Three views of the Metropolis–Hastings inner loop, each measured on the
-standard synthetic workload with the trial/commit kernel *and* with the
-legacy apply/unapply reference (:func:`repro.mcmc.kernel.legacy_kernel`)
-from bit-identical initial states:
+Four views of the Metropolis–Hastings inner loop, each measured on the
+standard synthetic workload:
 
 * :func:`serial_chain_throughput` — full serial single-chain
   iterations/sec, the number every executor, batch job and service
-  worker ultimately multiplies.  Asserts bit-identical final circles,
-  traces and acceptance stats between the two kernels.
-* :func:`move_class_throughput` — per-move-class rejection/acceptance
-  cycle costs (price→rollback vs apply→unapply, price→commit vs apply),
-  isolating the rejection-cost asymmetry the trial protocol removes.
+  worker ultimately multiplies.
+* :func:`move_class_throughput` — per-move-class price→rollback cycle
+  cost against an equilibrated state (the rejection path, dominant at
+  20–40 % acceptance).
+* :func:`multiproposal_throughput` — K-way multiproposal rounds across
+  a width sweep, gated bit-for-bit against the sequential reference and
+  (at width 1) against the classic chain.
 * :func:`strategy_throughput` — end-to-end engine runs of all four
-  strategies on the serial executor, asserting bit-identical
-  ``DetectionResult`` circles.
+  strategies on the serial executor.
 
 Every function returns plain dicts ready for the JSON artifact; parity
 failures raise :class:`~repro.errors.BenchmarkError` so CI fails loudly
-rather than uploading numbers from diverging chains.
+rather than uploading numbers from diverging chains.  The chain law
+itself is pinned by the frozen digests of ``tests/mcmc/kernel_golden.json``.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
 from repro.errors import BenchmarkError
 from repro.bench.workloads import Workload, synthetic_workload
-from repro.mcmc import (
-    BirthMove,
-    DeathMove,
-    MarkovChain,
-    MergeMove,
-    MoveGenerator,
-    MultiproposalChain,
-    PosteriorState,
-    ReplaceMove,
-    ResizeMove,
-    SplitMove,
-    TranslateMove,
-    legacy_kernel,
-)
+from repro.mcmc import MarkovChain, MoveGenerator, MultiproposalChain, PosteriorState
 from repro.mcmc.spec import MoveType
 from repro.utils.rng import RngStream
 
@@ -56,17 +43,6 @@ __all__ = [
 ]
 
 STRATEGIES = ("naive", "blind", "intelligent", "periodic")
-
-_MOVE_CLASS = {
-    MoveType.BIRTH: BirthMove,
-    MoveType.DEATH: DeathMove,
-    MoveType.SPLIT: SplitMove,
-    MoveType.MERGE: MergeMove,
-    MoveType.REPLACE: ReplaceMove,
-    MoveType.TRANSLATE: TranslateMove,
-    MoveType.RESIZE: ResizeMove,
-}
-
 
 def _fresh_chain(workload: Workload, seed: int, record_every: int = 100) -> MarkovChain:
     post = PosteriorState(workload.filtered, workload.model)
@@ -87,61 +63,19 @@ def serial_chain_throughput(
     seed: int = 99,
     workload_seed: int = 3,
 ) -> Dict:
-    """Serial single-chain iterations/sec, trial kernel vs legacy
-    reference, from bit-identical initial states and seeds.
-
-    The parity gate asserts final circles, posterior/count traces,
-    acceptance statistics, the cached log-posterior and the coverage
-    counts all match bit-for-bit before any number is reported.
-    """
+    """Serial single-chain iterations/sec after *warmup* iterations."""
     workload = synthetic_workload(size=size, n_circles=n_circles, seed=workload_seed)
-
-    trial_chain = _fresh_chain(workload, seed)
-    trial_chain.run(warmup)
+    chain = _fresh_chain(workload, seed)
+    chain.run(warmup)
     t0 = time.perf_counter()
-    trial_result = trial_chain.run(iterations)
-    trial_elapsed = time.perf_counter() - t0
-
-    with legacy_kernel():
-        ref_chain = _fresh_chain(workload, seed)
-        ref_chain.run(warmup)
-        t0 = time.perf_counter()
-        ref_result = ref_chain.run(iterations)
-        ref_elapsed = time.perf_counter() - t0
-
-    _require(trial_result.final_circles == ref_result.final_circles,
-             "serial-chain final circles differ")
-    _require(
-        trial_result.posterior_trace.values == ref_result.posterior_trace.values
-        and trial_result.posterior_trace.iterations
-        == ref_result.posterior_trace.iterations,
-        "serial-chain posterior traces differ",
-    )
-    _require(trial_result.count_trace.values == ref_result.count_trace.values,
-             "serial-chain count traces differ")
-    _require(
-        trial_result.stats.generated == ref_result.stats.generated
-        and trial_result.stats.proposed == ref_result.stats.proposed
-        and trial_result.stats.accepted == ref_result.stats.accepted,
-        "serial-chain acceptance stats differ",
-    )
-    _require(trial_chain.post.log_posterior == ref_chain.post.log_posterior,
-             "serial-chain cached log-posterior differs")
-    _require(
-        bool(np.array_equal(trial_chain.post.coverage.counts,
-                            ref_chain.post.coverage.counts)),
-        "serial-chain coverage counts differ",
-    )
-
+    result = chain.run(iterations)
+    elapsed = time.perf_counter() - t0
     return {
         "workload": workload.name,
         "iterations": iterations,
         "warmup": warmup,
-        "acceptance_rate": trial_result.stats.acceptance_rate(),
-        "trial_iters_per_second": iterations / trial_elapsed,
-        "legacy_iters_per_second": iterations / ref_elapsed,
-        "speedup": ref_elapsed / trial_elapsed,
-        "parity": True,
+        "acceptance_rate": result.stats.acceptance_rate(),
+        "trial_iters_per_second": iterations / elapsed,
     }
 
 
@@ -249,67 +183,41 @@ def move_class_throughput(
     workload_seed: int = 3,
     move_types: Optional[Sequence[MoveType]] = None,
 ) -> Dict:
-    """Per-move-class price→rollback vs apply→unapply cycle throughput.
+    """Per-move-class price→rollback cycle throughput.
 
     For each move class, *cycles* proposals of exactly that class are
-    drawn (identical RNG streams on both sides) against an equilibrated
-    state and priced-then-rejected — the dominant path at 20–40 %
-    acceptance.  The rejected cycle is where the trial protocol removes
-    the second rasterisation, so this is the per-class view of the
-    speedup.  Parity asserts the state survives both loops unchanged
-    and both kernels price every proposal identically.
+    drawn against an equilibrated state and priced-then-rejected — the
+    dominant path at 20–40 % acceptance.  Asserts the cached posterior
+    survives the loop unchanged.
     """
     workload = synthetic_workload(size=size, n_circles=n_circles, seed=workload_seed)
     move_types = list(move_types) if move_types is not None else list(MoveType)
 
-    def equilibrated() -> MarkovChain:
-        chain = _fresh_chain(workload, seed)
-        chain.run(equilibrate)
-        return chain
-
     per_class: Dict[str, Dict] = {}
     for mt in move_types:
-        trial_chain = equilibrated()
-        with legacy_kernel():
-            ref_chain = equilibrated()
-
-        def reject_cycles(chain: MarkovChain, use_trial: bool, stream_seed: int):
-            # Single-class generators would skew reverse densities, so
-            # class-specific proposals are drawn from a full-weight
-            # generator via its public per-class hook.
-            post, gen = chain.post, chain.gen
-            stream = RngStream(seed=stream_seed)
-            lp0 = post.log_posterior
-            deltas: List[float] = []
-            n_priced = 0
-            t0 = time.perf_counter()
-            for _ in range(cycles):
-                move = gen.generate_of_type(mt, post, stream)
-                if not move.is_valid(post):
-                    continue
-                if use_trial:
-                    deltas.append(move.price(post))
-                    move.rollback(post)
-                else:
-                    deltas.append(move.apply(post))
-                    move.unapply(post)
-                n_priced += 1
-            elapsed = time.perf_counter() - t0
-            _require(post.log_posterior == lp0,
-                     f"{mt.value} reject cycle left the posterior changed")
-            return elapsed, n_priced, deltas
-
-        trial_elapsed, n_trial, trial_deltas = reject_cycles(trial_chain, True, 1000)
-        with legacy_kernel():
-            ref_elapsed, n_ref, ref_deltas = reject_cycles(ref_chain, False, 1000)
-        _require(n_trial == n_ref, f"{mt.value} proposal counts differ")
-        _require(trial_deltas == ref_deltas, f"{mt.value} priced deltas differ")
+        chain = _fresh_chain(workload, seed)
+        chain.run(equilibrate)
+        # Single-class generators would skew reverse densities, so
+        # class-specific proposals are drawn from a full-weight
+        # generator via its public per-class hook.
+        post, gen = chain.post, chain.gen
+        stream = RngStream(seed=1000)
+        lp0 = post.log_posterior
+        n_priced = 0
+        t0 = time.perf_counter()
+        for _ in range(cycles):
+            move = gen.generate_of_type(mt, post, stream)
+            if not move.is_valid(post):
+                continue
+            move.price(post)
+            move.rollback(post)
+            n_priced += 1
+        elapsed = time.perf_counter() - t0
+        _require(post.log_posterior == lp0,
+                 f"{mt.value} reject cycle left the posterior changed")
         per_class[mt.value] = {
-            "priced_proposals": n_trial,
-            "trial_cycles_per_second": n_trial / trial_elapsed if trial_elapsed else 0.0,
-            "legacy_cycles_per_second": n_ref / ref_elapsed if ref_elapsed else 0.0,
-            "speedup": ref_elapsed / trial_elapsed if trial_elapsed else 0.0,
-            "supports_trial": _MOVE_CLASS[mt].supports_trial,
+            "priced_proposals": n_priced,
+            "trial_cycles_per_second": n_priced / elapsed if elapsed else 0.0,
         }
     return {"workload": workload.name, "cycles": cycles, "classes": per_class}
 
@@ -322,8 +230,7 @@ def strategy_throughput(
     workload_seed: int = 3,
     strategies: Sequence[str] = STRATEGIES,
 ) -> Dict:
-    """End-to-end engine runs per strategy (serial executor), trial vs
-    legacy kernel, asserting bit-identical detected circles."""
+    """End-to-end engine runs per strategy (serial executor)."""
     from repro.engine import run as engine_run
 
     workload = synthetic_workload(size=size, n_circles=n_circles, seed=workload_seed)
@@ -331,22 +238,12 @@ def strategy_throughput(
     for strategy in strategies:
         request = workload.request(strategy, iterations, executor="serial", seed=seed)
         t0 = time.perf_counter()
-        trial_result = engine_run(request)
-        trial_elapsed = time.perf_counter() - t0
-        with legacy_kernel():
-            t0 = time.perf_counter()
-            ref_result = engine_run(request)
-            ref_elapsed = time.perf_counter() - t0
-        _require(trial_result.circles == ref_result.circles,
-                 f"strategy {strategy!r} detected circles differ")
+        result = engine_run(request)
+        elapsed = time.perf_counter() - t0
         out[strategy] = {
-            "n_found": trial_result.n_found,
-            "trial_seconds": trial_elapsed,
-            "legacy_seconds": ref_elapsed,
-            "trial_iters_per_second": iterations / trial_elapsed,
-            "legacy_iters_per_second": iterations / ref_elapsed,
-            "speedup": ref_elapsed / trial_elapsed,
-            "parity": True,
+            "n_found": result.n_found,
+            "trial_seconds": elapsed,
+            "trial_iters_per_second": iterations / elapsed,
         }
     return {
         "workload": workload.name,

@@ -15,9 +15,9 @@ and the two aggressive partitioning pipelines.
   truth.
 
 All four partitioning schemes are registered strategies of the unified
-detection engine (:mod:`repro.engine`) — the ``run_*`` functions here
-are compatibility shims that build a
-:class:`~repro.engine.schema.DetectionRequest` and delegate.
+detection engine (:mod:`repro.engine`): run them with
+``repro.engine.run(DetectionRequest(..., strategy=...))``.  The result
+classes here are what ``DetectionResult.raw`` carries per strategy.
 """
 
 from repro.core.theory import (
@@ -50,10 +50,9 @@ from repro.core.periodic import (
 from repro.core.intelligent_pipeline import (
     IntelligentPipelineResult,
     PartitionRunReport,
-    run_intelligent_pipeline,
 )
-from repro.core.blind_pipeline import BlindPipelineResult, run_blind_pipeline
-from repro.core.naive import NaiveResult, run_naive_partitioning
+from repro.core.blind_pipeline import BlindPipelineResult
+from repro.core.naive import NaiveResult
 from repro.core.evaluation import MatchReport, evaluate_model, anomalies_near_lines
 
 __all__ = [
@@ -78,11 +77,8 @@ __all__ = [
     "grid_partitioner",
     "IntelligentPipelineResult",
     "PartitionRunReport",
-    "run_intelligent_pipeline",
     "BlindPipelineResult",
-    "run_blind_pipeline",
     "NaiveResult",
-    "run_naive_partitioning",
     "MatchReport",
     "evaluate_model",
     "anomalies_near_lines",

@@ -17,30 +17,24 @@ conventional MCMC — the result is a point estimate with possible
 boundary anomalies, in exchange for fully independent (hence perfectly
 parallel) partition processing.
 
-.. note::
-   The orchestration now lives in the unified engine
-   (:mod:`repro.engine`); :func:`run_blind_pipeline` is a compatibility
-   shim over the ``"blind"`` strategy, bit-identical to the pre-engine
-   behaviour for a fixed seed.
+The orchestration lives in the unified engine (:mod:`repro.engine`,
+strategy ``"blind"``); this module keeps the strategy's result type —
+``engine.run(request).raw``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 from repro.errors import PartitioningError
 from repro.geometry.circle import Circle
-from repro.imaging.image import Image
 from repro.core.subimage import SubImageResult
-from repro.mcmc.spec import ModelSpec, MoveConfig
-from repro.parallel.executor import Executor
 from repro.parallel.scheduler import makespan
 from repro.partitioning.blind import BlindPartition
 from repro.partitioning.merge import MergeReport
-from repro.utils.rng import SeedLike
 
-__all__ = ["BlindPipelineResult", "run_blind_pipeline"]
+__all__ = ["BlindPipelineResult"]
 
 
 @dataclass
@@ -76,57 +70,3 @@ class BlindPipelineResult:
         if sequential_seconds <= 0:
             raise PartitioningError("sequential baseline must be positive")
         return [t / sequential_seconds for t in self.partition_runtimes()]
-
-
-def run_blind_pipeline(
-    image: Image,
-    spec: ModelSpec,
-    move_config: MoveConfig,
-    iterations_per_partition: int,
-    nx: int = 2,
-    ny: int = 2,
-    overlap_factor: float = 1.1,
-    theta: float = 0.5,
-    merge_distance: float = 5.0,
-    dispute_policy: str = "accept",
-    executor: Optional[Executor] = None,
-    seed: SeedLike = None,
-    record_every: int = 50,
-) -> BlindPipelineResult:
-    """Run the full blind-partitioning pipeline on *image*.
-
-    Compatibility shim over ``repro.engine.run(strategy="blind")``.
-
-    Parameters
-    ----------
-    nx, ny:
-        Core grid shape (the paper's example is 2×2, "four equal sized
-        areas").
-    overlap_factor:
-        Overlap margin as a multiple of ``spec.radius_mean`` ("we have
-        extended each partition boundary edge by 1.1 times the expected
-        artifact radius").
-    merge_distance, dispute_policy:
-        Passed to :func:`repro.partitioning.merge.merge_blind_models`.
-    """
-    from repro.engine import DetectionRequest, run
-
-    request = DetectionRequest(
-        image=image,
-        spec=spec,
-        move_config=move_config,
-        iterations=iterations_per_partition,
-        strategy="blind",
-        executor=executor if executor is not None else "serial",
-        seed=seed,
-        record_every=record_every,
-        options={
-            "nx": nx,
-            "ny": ny,
-            "overlap_factor": overlap_factor,
-            "theta": theta,
-            "merge_distance": merge_distance,
-            "dispute_policy": dispute_policy,
-        },
-    )
-    return run(request).raw

@@ -16,13 +16,9 @@ The pipeline result carries everything Table I reports per partition:
 area, the three count estimates, measured time/iteration, iterations to
 convergence, runtime, and runtime relative to the unpartitioned chain.
 
-.. note::
-   The orchestration now lives in the unified engine
-   (:mod:`repro.engine`); :func:`run_intelligent_pipeline` is a
-   compatibility shim that builds a
-   :class:`~repro.engine.schema.DetectionRequest` for the
-   ``"intelligent"`` strategy and returns the strategy's raw result —
-   bit-identical to the pre-engine behaviour for a fixed seed.
+The orchestration lives in the unified engine (:mod:`repro.engine`,
+strategy ``"intelligent"``); this module keeps the strategy's result
+types — ``engine.run(request).raw``.
 """
 
 from __future__ import annotations
@@ -34,14 +30,10 @@ from repro.errors import PartitioningError
 from repro.geometry.circle import Circle
 from repro.geometry.rect import Rect
 from repro.core.subimage import SubImageResult
-from repro.imaging.image import Image
-from repro.mcmc.spec import ModelSpec, MoveConfig
-from repro.parallel.executor import Executor
 from repro.parallel.scheduler import makespan
 from repro.partitioning.intelligent import SegmentationResult
-from repro.utils.rng import SeedLike
 
-__all__ = ["PartitionRunReport", "IntelligentPipelineResult", "run_intelligent_pipeline"]
+__all__ = ["PartitionRunReport", "IntelligentPipelineResult"]
 
 
 @dataclass
@@ -130,55 +122,3 @@ class IntelligentPipelineResult:
         runtimes."""
         costs = [p.runtime_seconds for p in self.partitions]
         return makespan(costs, n_processors) if costs else 0.0
-
-
-def run_intelligent_pipeline(
-    image: Image,
-    spec: ModelSpec,
-    move_config: MoveConfig,
-    iterations_per_partition: int,
-    theta: float = 0.5,
-    min_gap: float = 8.0,
-    pad: float = 3.0,
-    trim: bool = False,
-    executor: Optional[Executor] = None,
-    seed: SeedLike = None,
-    whole_image_count: Optional[float] = None,
-    record_every: int = 50,
-) -> IntelligentPipelineResult:
-    """Run the full intelligent-partitioning pipeline on *image*.
-
-    Compatibility shim over ``repro.engine.run(strategy="intelligent")``.
-
-    Parameters
-    ----------
-    iterations_per_partition:
-        Chain length per partition.  Iterations to convergence is
-        *measured* from the trace afterwards, as in Table I.
-    theta:
-        Threshold for both segmentation and eq. (5) estimates.
-    whole_image_count:
-        Prior knowledge of the total artifact count, used for the naive
-        area-scaled estimate column; defaults to eq. (5) over the whole
-        image.
-    """
-    from repro.engine import DetectionRequest, run
-
-    request = DetectionRequest(
-        image=image,
-        spec=spec,
-        move_config=move_config,
-        iterations=iterations_per_partition,
-        strategy="intelligent",
-        executor=executor if executor is not None else "serial",
-        seed=seed,
-        record_every=record_every,
-        options={
-            "theta": theta,
-            "min_gap": min_gap,
-            "pad": pad,
-            "trim": trim,
-            "whole_image_count": whole_image_count,
-        },
-    )
-    return run(request).raw

@@ -12,27 +12,21 @@ the area-scaled share of the whole-image prior (the incorrect uniform-
 density assumption §VIII criticises), run independent chains, and
 concatenate without any reconciliation.
 
-.. note::
-   The orchestration now lives in the unified engine
-   (:mod:`repro.engine`); :func:`run_naive_partitioning` is a
-   compatibility shim over the ``"naive"`` strategy, bit-identical to
-   the pre-engine behaviour for a fixed seed.
+The orchestration lives in the unified engine (:mod:`repro.engine`,
+strategy ``"naive"``); this module keeps the strategy's result type —
+``engine.run(request).raw``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 from repro.geometry.circle import Circle
 from repro.geometry.rect import Rect
-from repro.imaging.image import Image
 from repro.core.subimage import SubImageResult
-from repro.mcmc.spec import ModelSpec, MoveConfig
-from repro.parallel.executor import Executor
-from repro.utils.rng import SeedLike
 
-__all__ = ["NaiveResult", "run_naive_partitioning"]
+__all__ = ["NaiveResult"]
 
 
 @dataclass
@@ -54,34 +48,3 @@ class NaiveResult:
         for y in ys[1:-1]:
             lines.append(("h", y))
         return lines
-
-
-def run_naive_partitioning(
-    image: Image,
-    spec: ModelSpec,
-    move_config: MoveConfig,
-    iterations_per_tile: int,
-    nx: int = 2,
-    ny: int = 2,
-    executor: Optional[Executor] = None,
-    seed: SeedLike = None,
-    record_every: int = 50,
-) -> NaiveResult:
-    """Divide-and-conquer with none of the paper's safeguards.
-
-    Compatibility shim over ``repro.engine.run(strategy="naive")``.
-    """
-    from repro.engine import DetectionRequest, run
-
-    request = DetectionRequest(
-        image=image,
-        spec=spec,
-        move_config=move_config,
-        iterations=iterations_per_tile,
-        strategy="naive",
-        executor=executor if executor is not None else "serial",
-        seed=seed,
-        record_every=record_every,
-        options={"nx": nx, "ny": ny},
-    )
-    return run(request).raw

@@ -130,11 +130,11 @@ def run_local_phase_task(task: LocalPhaseTask) -> LocalPhaseResult:
     local_ids: List[int] = []
     for x, y, r in zip(task.mod_xs, task.mod_ys, task.mod_rs):
         idx = post.config.add(float(x), float(y), float(r))
-        post.likelihood.add_disc_delta(post.coverage, float(x), float(y), float(r))
+        post.coverage.add_disc_counts_only(float(x), float(y), float(r))
         local_ids.append(idx)
     for x, y, r in zip(task.frz_xs, task.frz_ys, task.frz_rs):
         post.config.add(float(x), float(y), float(r))
-        post.likelihood.add_disc_delta(post.coverage, float(x), float(y), float(r))
+        post.coverage.add_disc_counts_only(float(x), float(y), float(r))
     post.set_log_posterior(0.0)
 
     gen = MoveGenerator(

@@ -69,11 +69,11 @@ free::
     assert again.n_computed == 0
     print(cache.stats.hit_rate, out.executor_kind)
 
-The legacy entry points (:func:`repro.core.naive.run_naive_partitioning`,
-:func:`repro.core.blind_pipeline.run_blind_pipeline`,
-:func:`repro.core.intelligent_pipeline.run_intelligent_pipeline`)
-delegate here and return ``result.raw``, bit-identical to their
-pre-engine behaviour for a fixed seed.
+``result.raw`` carries the strategy's own result object
+(:class:`~repro.core.naive.NaiveResult`,
+:class:`~repro.core.blind_pipeline.BlindPipelineResult`,
+:class:`~repro.core.intelligent_pipeline.IntelligentPipelineResult` or
+:class:`~repro.core.periodic.PeriodicResult`).
 """
 
 from __future__ import annotations

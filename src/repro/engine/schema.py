@@ -168,7 +168,7 @@ class StrategyOutput:
 class DetectionResult:
     """Engine-level answer, common to all strategies.
 
-    ``raw`` carries the strategy's legacy result object
+    ``raw`` carries the strategy's own result object
     (:class:`~repro.core.naive.NaiveResult`,
     :class:`~repro.core.blind_pipeline.BlindPipelineResult`,
     :class:`~repro.core.intelligent_pipeline.IntelligentPipelineResult`

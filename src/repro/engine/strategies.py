@@ -6,9 +6,9 @@ The tiled three (naive, blind, intelligent) supply only *plan* and
 partitioning wraps the §V sampler directly (its partitions are
 re-randomised every cycle, so there is no up-front tile plan).
 
-Each strategy's ``options`` keys default to the legacy pipeline
-functions' keyword defaults, so a bare request reproduces the legacy
-behaviour exactly.
+Each strategy's ``options`` keys default to the paper's settings (a
+2×2 grid, 1.1·r̄ overlap, θ = 0.5, ...), so a bare request runs the
+method as §VIII–IX describe it.
 """
 
 from __future__ import annotations

@@ -65,7 +65,7 @@ class CalibrationError(ReproError):
 
 class BenchmarkError(ReproError):
     """A benchmark's built-in correctness gate failed (e.g. the
-    BENCH_core parity asserts between the trial and legacy kernels)."""
+    BENCH_core multiproposal parity asserts)."""
 
 
 class EngineError(ReproError):

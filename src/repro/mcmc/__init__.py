@@ -45,13 +45,9 @@ from repro.mcmc.moves import (
 from repro.mcmc.kernel import (
     MultiproposalRound,
     StepResult,
-    evaluate_move,
-    legacy_kernel,
     metropolis_hastings_step,
     multiproposal_step,
     price_move,
-    set_trial_kernel,
-    trial_kernel_enabled,
 )
 from repro.mcmc.chain import MarkovChain, ChainResult
 from repro.mcmc.diagnostics import (
@@ -97,11 +93,7 @@ __all__ = [
     "metropolis_hastings_step",
     "multiproposal_step",
     "MultiproposalRound",
-    "evaluate_move",
     "price_move",
-    "legacy_kernel",
-    "set_trial_kernel",
-    "trial_kernel_enabled",
     "StepResult",
     "MarkovChain",
     "ChainResult",

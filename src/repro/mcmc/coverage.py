@@ -16,29 +16,26 @@ A pixel is *covered* by a disc iff its centre ``(col + 0.5, row + 0.5)``
 lies within the disc (hard-edge model, matching the renderer up to
 anti-aliasing noise absorbed by the likelihood's noise scale).
 
-Two evaluation paths share the raster:
+A move's delta is priced without touching ``counts``
+(:meth:`trial_add_disc` / :meth:`trial_remove_disc`), then applied or
+dropped (:meth:`commit_pending` / :meth:`discard_pending`).  The disc
+mask is computed into per-raster scratch buffers (precomputed
+pixel-centre grids, reused mask/square/count windows), so steady-state
+stepping performs no window-sized temporary allocations beyond the
+single weight gather, and a rejected proposal costs one rasterisation.
+The weight sum is taken over the boolean-compressed value sequence
+(numpy's pairwise summation order depends on the compressed length, so
+the gather cannot be fused into a masked reduction without changing
+last-ulp rounding — and therefore the chain).
 
-* The *legacy* path (:meth:`add_disc` / :meth:`remove_disc`) mutates
-  ``counts`` immediately and returns the weighted delta — the pre-trial
-  kernel's protocol, kept verbatim (including its per-call ``np.arange``
-  temporaries) so it stays a faithful benchmark baseline and a
-  bit-exact reference for the parity suite.
-* The *trial* path (:meth:`trial_add_disc` / :meth:`trial_remove_disc`
-  + :meth:`commit_pending` / :meth:`discard_pending`) prices the same
-  delta without touching ``counts``: the disc mask is computed into
-  per-raster scratch buffers (precomputed pixel-centre grids, reused
-  mask/square/count windows) so steady-state stepping performs no
-  window-sized temporary allocations beyond the single weight gather,
-  and a rejected proposal costs one rasterisation instead of two.
+:meth:`_disc_window` is an allocation-heavy from-scratch rasteriser
+that shares no scratch with the hot path.  With ``debug_checks`` on,
+every counts-only bulk load is cross-checked against it — so
+:meth:`rebuild_from`, and with it
+:meth:`~repro.mcmc.posterior.PosteriorState.verify_consistency`,
+validates the scratch-buffer window itself.
 
-The trial delta is bit-identical to the legacy one: the mask arithmetic
-is element-for-element the same operations, and the weight sum is taken
-over the same boolean-compressed value sequence (numpy's pairwise
-summation order depends on the compressed length, so the gather cannot
-be fused into a masked reduction without changing last-ulp rounding —
-bit-parity wins over the last allocation).
-
-A third path batches the trial protocol across proposals:
+A second path batches the trial protocol across proposals:
 :meth:`trial_price_batch` rasterises every disc of K independent
 candidate moves in one stacked numpy pass over persistent
 ``(N, H, W)`` scratch, then prices each candidate against the counts
@@ -93,9 +90,10 @@ class CoverageRaster:
         Position of the raster's (0, 0) pixel within the full image —
         partition workers hold a raster over just their patch.
     debug_checks:
-        Enable the coverage-underflow guard in :meth:`remove_disc` /
-        :meth:`trial_remove_disc` (an extra fancy-index pass per
-        removal).  Defaults off in the hot path; tests and
+        Enable the coverage-underflow guard in :meth:`trial_remove_disc`
+        (an extra fancy-index pass per removal) and the
+        :meth:`_disc_window` cross-check of bulk loads.  Defaults off in
+        the hot path; tests and
         :meth:`~repro.mcmc.posterior.PosteriorState.verify_consistency`
         turn it on.
     """
@@ -157,8 +155,8 @@ class CoverageRaster:
     def _init_scratch(self) -> None:
         height, width = self.counts.shape
         # Pixel-centre coordinate grids, precomputed once: slicing these
-        # replaces the two per-call ``np.arange`` allocations of the
-        # legacy window (integers + 0.5 are exact, so a slice is
+        # replaces the two per-call ``np.arange`` allocations of
+        # _disc_window (integers + 0.5 are exact, so a slice is
         # bit-identical to ``np.arange(c0, c1) + 0.5``).
         self._row_centres = np.arange(height, dtype=np.float64) + 0.5
         self._col_centres = np.arange(width, dtype=np.float64) + 0.5
@@ -243,16 +241,16 @@ class CoverageRaster:
         :meth:`commit_batch_group` / :meth:`discard_batch`."""
         return len(self._batch_groups)
 
-    # -- disc rasterisation (legacy / reference path) --------------------------
+    # -- from-scratch reference rasterisation -----------------------------------
     def _disc_window(self, x: float, y: float, r: float):
         """(row_slice, col_slice, boolean mask) of pixels covered by the disc.
 
         Returns ``None`` when the disc misses the raster entirely.
         Coordinates are in full-image space; offsets are applied here.
 
-        This is the pre-trial implementation, kept allocation-heavy on
-        purpose: it is the bit-exact reference (and benchmark baseline)
-        the trial path is validated against.
+        Allocation-heavy on purpose: it shares no scratch with the hot
+        path, so it is the independent reference the scratch-buffer
+        windows are validated against.
         """
         # Pixel (i, j) of the raster has centre (col_offset + j + 0.5,
         # row_offset + i + 0.5) in image coordinates.
@@ -271,48 +269,6 @@ class CoverageRaster:
         if not mask.any():
             return None
         return slice(r0, r1), slice(c0, c1), mask
-
-    # -- mutation with weighted deltas ----------------------------------------
-    def add_disc(self, x: float, y: float, r: float, weights: np.ndarray) -> float:
-        """Increment coverage under the disc; return Σ weights over pixels
-        that became covered (count 0 → 1).
-
-        *weights* is the full-raster weight map (same shape as counts);
-        the caller owns its meaning (the likelihood passes its per-pixel
-        turn-on costs).
-        """
-        self._check_no_pending("add_disc")
-        win = self._disc_window(x, y, r)
-        if win is None:
-            return 0.0
-        rows, cols, mask = win
-        patch = self.counts[rows, cols]
-        newly = mask & (patch == 0)
-        patch[mask] += 1
-        delta = float(weights[rows, cols][newly].sum()) if newly.any() else 0.0
-        return delta
-
-    def remove_disc(self, x: float, y: float, r: float, weights: np.ndarray) -> float:
-        """Decrement coverage under the disc; return Σ weights over pixels
-        that became uncovered (count 1 → 0).
-
-        With ``debug_checks`` enabled, raises if any touched pixel had
-        zero coverage (state corruption).
-        """
-        self._check_no_pending("remove_disc")
-        win = self._disc_window(x, y, r)
-        if win is None:
-            return 0.0
-        rows, cols, mask = win
-        patch = self.counts[rows, cols]
-        if self.debug_checks and np.any(patch[mask] <= 0):
-            raise ChainError(
-                f"coverage underflow removing disc ({x:.2f}, {y:.2f}, r={r:.2f})"
-            )
-        vacated = mask & (patch == 1)
-        patch[mask] -= 1
-        delta = float(weights[rows, cols][vacated].sum()) if vacated.any() else 0.0
-        return delta
 
     # -- trial path (allocation-free pricing, deferred mutation) ---------------
     def _ensure_scratch(self, n: int, slot: int) -> None:
@@ -336,7 +292,7 @@ class CoverageRaster:
 
         Returns ``(r0, r1, c0, c1, mask)`` with *mask* a 2-D view into
         pooled scratch (valid until slot reuse), or ``None``.  Every
-        arithmetic step mirrors the legacy window element-for-element,
+        arithmetic step mirrors the reference window element-for-element,
         so the mask is bit-identical.
         """
         lx = x - self.col_offset
@@ -384,8 +340,8 @@ class CoverageRaster:
 
         With no ops this is a zero-copy view; otherwise the window is
         copied into scratch and each mask is applied over the
-        intersection — exactly the counts the legacy path would have
-        produced by mutating in sequence.
+        intersection — exactly the counts committing the ops in
+        sequence would produce.
         """
         patch = self.counts[r0:r1, c0:c1]
         if not pending:
@@ -412,10 +368,14 @@ class CoverageRaster:
     def trial_add_disc(self, x: float, y: float, r: float, weights: np.ndarray) -> float:
         """Price adding the disc without mutating ``counts``.
 
-        Returns the same Σ weights over newly covered pixels that
-        :meth:`add_disc` would, records the rasterised mask as a pending
-        op (so later trials in the same move see its effect), and leaves
-        state mutation to :meth:`commit_pending`.
+        Returns Σ weights over the pixels that would become covered
+        (count 0 → 1), records the rasterised mask as a pending op (so
+        later trials in the same move see its effect), and leaves state
+        mutation to :meth:`commit_pending`.
+
+        *weights* is the full-raster weight map (same shape as counts);
+        the caller owns its meaning (the likelihood passes its per-pixel
+        turn-on costs).
         """
         win = self._trial_window(x, y, r, slot=len(self._pending))
         if win is None:
@@ -426,15 +386,17 @@ class CoverageRaster:
         newly = self._newly_flat[: hlen * wlen].reshape(hlen, wlen)
         np.equal(patch, 0, out=newly)
         np.logical_and(mask, newly, out=newly)
-        # Same gather + pairwise sum as the legacy path (an empty gather
-        # sums to exactly 0.0, so no any() pre-check is needed).
+        # An empty gather sums to exactly 0.0, so no any() pre-check is
+        # needed.
         delta = float(weights[r0:r1, c0:c1][newly].sum())
         self._pending.append(_PendingOp(r0, r1, c0, c1, mask, +1))
         return delta
 
     def trial_remove_disc(self, x: float, y: float, r: float, weights: np.ndarray) -> float:
-        """Price removing the disc without mutating ``counts``; see
-        :meth:`trial_add_disc`."""
+        """Price removing the disc without mutating ``counts``: Σ weights
+        over the pixels that would become uncovered (count 1 → 0); see
+        :meth:`trial_add_disc`.  With ``debug_checks`` enabled, raises
+        if any touched pixel has zero coverage (state corruption)."""
         win = self._trial_window(x, y, r, slot=len(self._pending))
         if win is None:
             return 0.0
@@ -456,8 +418,7 @@ class CoverageRaster:
         """Apply every pending trial mask to ``counts`` (accepted move).
 
         ``np.add``/``np.subtract`` with an ``out=`` view increment the
-        window in place without the legacy path's fancy-index
-        temporaries; the resulting counts are identical integers.
+        window in place without fancy-index temporaries.
         """
         for op in self._pending:
             patch = self.counts[op.row0 : op.row1, op.col0 : op.col1]
@@ -679,11 +640,10 @@ class CoverageRaster:
         rebuild just to discard the weighted sums.
 
         With ``debug_checks`` enabled the rasterised window is
-        cross-validated against the legacy reference
+        cross-validated against the from-scratch reference
         (:meth:`_disc_window`), so counts-only rebuilds — including the
         one :meth:`~repro.mcmc.posterior.PosteriorState.verify_consistency`
-        performs — pass through the same consistency gate as the trial
-        path."""
+        performs — check the scratch-buffer rasteriser itself."""
         self._check_no_pending("add_disc_counts_only")
         win = self._trial_window(x, y, r, slot=0)
         if self.debug_checks:
@@ -695,11 +655,11 @@ class CoverageRaster:
         np.add(patch, mask, out=patch)
 
     def _check_counts_only_window(self, x: float, y: float, r: float, win) -> None:
-        """Cross-validate a bulk-load rasterisation against the legacy
-        reference window (``debug_checks`` only)."""
+        """Cross-validate a bulk-load rasterisation against the
+        from-scratch reference window (``debug_checks`` only)."""
         ref = self._disc_window(x, y, r)
         if ref is None:
-            # The legacy path also bails on an all-False mask; the trial
+            # The reference bails on an all-False mask; the scratch
             # window stages those as exact no-ops.
             if win is not None and bool(win[4].any()):
                 raise ChainError(
@@ -719,7 +679,7 @@ class CoverageRaster:
         ):
             raise ChainError(
                 f"counts-only rebuild mask for disc ({x:.2f}, {y:.2f}, r={r:.2f}) "
-                "deviates from the legacy reference window"
+                "deviates from the reference window"
             )
 
     def rebuild_from(self, xs, ys, rs) -> None:

@@ -16,27 +16,24 @@ prior's truncation) count as rejected iterations without touching the
 state — this keeps the move-class proposal probabilities exactly as
 configured, which §V relies on when balancing phase lengths.
 
-Trial-then-commit
------------------
-The kernel prices proposals through the moves' trial protocol
+Price, then commit or roll back
+-------------------------------
+Every move changes the state through one protocol
 (:meth:`~repro.mcmc.moves.Move.price` → ``commit``/``rollback``): the
 proposal's log-posterior delta is computed *without* mutating coverage
 counts or the cached posterior, so a rejection — the common case at
-typical 20–40 % acceptance rates — costs one rasterisation per disc
-instead of the legacy apply-then-unapply two.  The chain law and every
-produced float are bit-identical to the legacy protocol, which remains
-available (``legacy_kernel()`` / :func:`set_trial_kernel`) as the
-parity-gate reference and benchmark baseline — see
-``scripts/bench_core.py``.
+typical 20–40 % acceptance rates — costs one rasterisation per disc and
+an O(1) configuration rollback.  Frozen golden digests
+(``tests/mcmc/kernel_golden.json``) and a from-scratch oracle
+(``tests/mcmc/test_move_oracle.py``) pin the chain law and every
+produced float.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.errors import ChainError
 from repro.mcmc.moves import Move, MoveGenerator, NullMove
@@ -49,56 +46,8 @@ __all__ = [
     "MultiproposalRound",
     "metropolis_hastings_step",
     "multiproposal_step",
-    "evaluate_move",
     "price_move",
-    "trial_kernel_enabled",
-    "set_trial_kernel",
-    "legacy_kernel",
 ]
-
-#: The switch is process-local: it honours ``REPRO_LEGACY_KERNEL`` at
-#: import time so spawned pool workers (which re-import this module)
-#: can be forced onto the legacy kernel via the environment.  Unset,
-#: empty, "0", "false" and "no" all mean the default trial kernel.
-_TRIAL_KERNEL = (
-    os.environ.get("REPRO_LEGACY_KERNEL", "").strip().lower()
-    in ("", "0", "false", "no")
-)
-
-
-def trial_kernel_enabled() -> bool:
-    """Whether the hot path uses the trial/commit protocol (default) or
-    the legacy apply/unapply reference implementation."""
-    return _TRIAL_KERNEL
-
-
-def set_trial_kernel(enabled: bool) -> bool:
-    """Switch between the trial and legacy kernels; returns the previous
-    setting.  The legacy kernel exists for parity gating and as the
-    pre-trial benchmark baseline — both produce bit-identical chains.
-
-    The setting is a process-local global: it is *not* shipped to
-    process-pool workers (they re-import with the default), so legacy
-    comparisons should run on the serial/thread executors — or export
-    ``REPRO_LEGACY_KERNEL=1`` so workers pick the legacy kernel up at
-    import.  It is not thread-safe to toggle while chains are running.
-    """
-    global _TRIAL_KERNEL
-    previous = _TRIAL_KERNEL
-    _TRIAL_KERNEL = bool(enabled)
-    return previous
-
-
-@contextmanager
-def legacy_kernel() -> Iterator[None]:
-    """Run the enclosed block on the legacy apply/unapply kernel
-    (parity tests, benchmark baselines).  Process-local — see
-    :func:`set_trial_kernel` for pool-worker caveats."""
-    previous = set_trial_kernel(False)
-    try:
-        yield
-    finally:
-        set_trial_kernel(previous)
 
 
 @dataclass(frozen=True, slots=True)
@@ -121,30 +70,16 @@ def metropolis_hastings_step(
         return StepResult(move.move_type, proposed=False, accepted=False,
                           log_alpha=-math.inf, delta=0.0)
 
-    if _TRIAL_KERNEL:
-        log_fwd = move.log_forward_density(post)
-        delta = move.price(post)
-        log_rev = move.log_reverse_density(post)
-        log_alpha = delta + log_rev - log_fwd + move.log_jacobian()
-
-        if log_alpha >= 0.0 or math.log(stream.random() + 1e-300) < log_alpha:
-            move.commit(post)
-            return StepResult(move.move_type, proposed=True, accepted=True,
-                              log_alpha=log_alpha, delta=delta)
-        move.rollback(post)
-        return StepResult(move.move_type, proposed=True, accepted=False,
-                          log_alpha=log_alpha, delta=0.0)
-
-    # Legacy reference protocol: full apply, full unapply on rejection.
     log_fwd = move.log_forward_density(post)
-    delta = move.apply(post)
+    delta = move.price(post)
     log_rev = move.log_reverse_density(post)
     log_alpha = delta + log_rev - log_fwd + move.log_jacobian()
 
     if log_alpha >= 0.0 or math.log(stream.random() + 1e-300) < log_alpha:
+        move.commit(post)
         return StepResult(move.move_type, proposed=True, accepted=True,
                           log_alpha=log_alpha, delta=delta)
-    move.unapply(post)
+    move.rollback(post)
     return StepResult(move.move_type, proposed=True, accepted=False,
                       log_alpha=log_alpha, delta=0.0)
 
@@ -186,7 +121,7 @@ def multiproposal_step(
     the same computation bit-for-bit (same RNG consumption, same
     floats).
 
-    With ``batch=True`` (and the trial kernel enabled) all candidates
+    With ``batch=True`` all candidates
     are priced through the posterior's deferred mode and one stacked
     rasterisation (:meth:`PosteriorState.price_deferred_batch`);
     ``batch=False`` prices each candidate lazily through the ordinary
@@ -204,7 +139,7 @@ def multiproposal_step(
     # the same draws a sequential run would make, since rejected steps
     # leave the state (and therefore later generations) untouched.
     moves = [gen.generate(post, stream) for _ in range(width)]
-    if batch and _TRIAL_KERNEL:
+    if batch:
         return _batched_round(post, moves, stream, temperature)
     return _sequential_round(post, moves, stream, temperature)
 
@@ -213,7 +148,7 @@ def _sequential_round(
     post: PosteriorState, moves: List[Move], stream: RngStream, temperature: float
 ) -> MultiproposalRound:
     """Reference selection: price candidates lazily in draw order via
-    the ordinary (trial or legacy) protocol, committing the first
+    the ordinary price/commit/rollback protocol, committing the first
     acceptance.  RNG consumption matches the batched path exactly."""
     results: List[StepResult] = []
     for move in moves:
@@ -222,21 +157,17 @@ def _sequential_round(
                                       log_alpha=-math.inf, delta=0.0))
             continue
         log_fwd = move.log_forward_density(post)
-        delta = move.price(post) if _TRIAL_KERNEL else move.apply(post)
+        delta = move.price(post)
         log_rev = move.log_reverse_density(post)
         log_alpha = delta / temperature + log_rev - log_fwd + move.log_jacobian()
         if log_alpha >= 0.0 or math.log(stream.random() + 1e-300) < log_alpha:
-            if _TRIAL_KERNEL:
-                move.commit(post)
+            move.commit(post)
             results.append(StepResult(move.move_type, proposed=True, accepted=True,
                                       log_alpha=log_alpha, delta=delta))
             return MultiproposalRound(consumed=len(results), accepted=True,
                                       winner=len(results) - 1, delta=delta,
                                       results=tuple(results))
-        if _TRIAL_KERNEL:
-            move.rollback(post)
-        else:
-            move.unapply(post)
+        move.rollback(post)
         results.append(StepResult(move.move_type, proposed=True, accepted=False,
                                   log_alpha=log_alpha, delta=0.0))
     return MultiproposalRound(consumed=len(results), accepted=False, winner=-1,
@@ -300,14 +231,13 @@ def _batched_round(
 
 
 def price_move(post: PosteriorState, move: Move) -> Optional[float]:
-    """Price *move* through the trial protocol: returns log α, or
-    ``None`` if the move is invalid (state untouched).
+    """Price *move*: returns log α, or ``None`` if the move is invalid
+    (state untouched).
 
     On a non-``None`` return the move is left *priced* — the caller must
     finish the protocol with exactly one of ``move.commit(post)`` or
     ``move.rollback(post)``.  The speculative executor uses this to
-    evaluate a round of proposals and commit only the winner, without
-    the evaluate-rollback-reapply round-trip.
+    price a round of proposals and commit only the winner.
     """
     if isinstance(move, NullMove) or not move.is_valid(post):
         return None
@@ -315,27 +245,3 @@ def price_move(post: PosteriorState, move: Move) -> Optional[float]:
     delta = move.price(post)
     log_rev = move.log_reverse_density(post)
     return delta + log_rev - log_fwd + move.log_jacobian()
-
-
-def evaluate_move(
-    post: PosteriorState, move: Move
-) -> Optional[float]:
-    """Price *move* without leaving it applied: returns log α, or ``None``
-    if the move is invalid.  On return *post* is unchanged — callers
-    that need to keep the pricing (speculative rounds) use
-    :func:`price_move` instead.
-    """
-    if _TRIAL_KERNEL:
-        log_alpha = price_move(post, move)
-        if log_alpha is None:
-            return None
-        move.rollback(post)
-        return log_alpha
-    if isinstance(move, NullMove) or not move.is_valid(post):
-        return None
-    log_fwd = move.log_forward_density(post)
-    delta = move.apply(post)
-    log_rev = move.log_reverse_density(post)
-    log_alpha = delta + log_rev - log_fwd + move.log_jacobian()
-    move.unapply(post)
-    return log_alpha

@@ -19,8 +19,6 @@ exactly what :class:`~repro.mcmc.coverage.CoverageRaster` reports.
 
 from __future__ import annotations
 
-
-
 from repro.errors import ChainError
 from repro.imaging.image import Image
 from repro.mcmc.coverage import CoverageRaster
@@ -64,22 +62,12 @@ class PixelLikelihood:
         self.col_offset = int(col_offset)
 
     # -- deltas (hot path) -----------------------------------------------------
-    def add_disc_delta(self, coverage: CoverageRaster, x: float, y: float, r: float) -> float:
-        """Apply a disc to *coverage*; return the log-likelihood delta."""
-        self._check_aligned(coverage)
-        return -self.beta * coverage.add_disc(x, y, r, self.turn_on_cost)
-
-    def remove_disc_delta(self, coverage: CoverageRaster, x: float, y: float, r: float) -> float:
-        """Remove a disc from *coverage*; return the log-likelihood delta."""
-        self._check_aligned(coverage)
-        return self.beta * coverage.remove_disc(x, y, r, self.turn_on_cost)
-
     def trial_add_disc_delta(
         self, coverage: CoverageRaster, x: float, y: float, r: float
     ) -> float:
-        """Price adding a disc without mutating *coverage* — the delta is
-        bit-identical to :meth:`add_disc_delta`; the rasterised mask
-        stays pending on the raster until committed or discarded."""
+        """Price adding a disc without mutating *coverage*; return the
+        log-likelihood delta.  The rasterised mask stays pending on the
+        raster until committed or discarded."""
         self._check_aligned(coverage)
         return -self.beta * coverage.trial_add_disc(x, y, r, self.turn_on_cost)
 

@@ -21,7 +21,7 @@ from typing import List, Sequence
 
 from repro.errors import ConfigurationError
 from repro.mcmc.diagnostics import AcceptanceStats, Trace
-from repro.mcmc.kernel import multiproposal_step, trial_kernel_enabled
+from repro.mcmc.kernel import multiproposal_step
 from repro.mcmc.moves import MoveGenerator, NullMove
 from repro.mcmc.posterior import PosteriorState
 from repro.utils.rng import SeedLike, coerce_stream
@@ -111,24 +111,16 @@ class MetropolisCoupledChains:
                 self.cold_stats.record(move.move_type, proposed=False, accepted=False)
             return
         log_fwd = move.log_forward_density(post)
-        # Trial protocol: heated chains reject most proposals too, so
-        # pricing without mutation saves the same unapply rasterisations
-        # the cold kernel avoids.  Only the mutation protocol branches;
-        # the tempered acceptance arithmetic is shared.
-        use_trial = trial_kernel_enabled()
-        delta = move.price(post) if use_trial else move.apply(post)
+        delta = move.price(post)
         log_rev = move.log_reverse_density(post)
         log_alpha = (
             delta / self.temperatures[k] + log_rev - log_fwd + move.log_jacobian()
         )
         accept = log_alpha >= 0.0 or math.log(stream.random() + 1e-300) < log_alpha
-        if use_trial:
-            if accept:
-                move.commit(post)
-            else:
-                move.rollback(post)
-        elif not accept:
-            move.unapply(post)
+        if accept:
+            move.commit(post)
+        else:
+            move.rollback(post)
         if k == 0:
             self.cold_stats.record(move.move_type, proposed=True, accepted=accept)
 

@@ -4,13 +4,13 @@ Each move type is a small single-use object created by
 :class:`MoveGenerator` for one iteration.  A move knows how to:
 
 * validate itself against the current state (``is_valid``),
-* report its forward proposal log-density (evaluated *before* applying),
-* apply itself to a :class:`~repro.mcmc.posterior.PosteriorState`
-  (returning the exact log-posterior delta),
-* report the reverse proposal log-density (evaluated *after* applying),
+* report its forward proposal log-density (evaluated *before* pricing),
+* price itself against a :class:`~repro.mcmc.posterior.PosteriorState`
+  (``price``, returning the exact log-posterior delta),
+* report the reverse proposal log-density (evaluated *after* pricing),
 * report the log-Jacobian of its dimension-matching transform, and
-* roll itself back (``unapply``), restoring the cached log-posterior
-  bit-exactly from the saved pre-move value.
+* finish as exactly one of ``commit`` (accepted) or ``rollback``
+  (rejected).
 
 The split/merge pair uses the standard RJMCMC construction: a split of
 circle (x, y, r) draws auxiliary variables θ ~ U[0, 2π), d ~ U(0, d_max]
@@ -91,70 +91,53 @@ class MoveContext:
 class Move:
     """Base class; see module docstring for the lifecycle.
 
-    Two execution protocols share the proposal/density methods:
+    :meth:`price` mutates only the configuration (so densities and
+    overlap energies evaluate against the post-move state) while
+    coverage counts and the cached posterior stay untouched;
+    :meth:`commit` finalises an acceptance from the cached
+    rasterisation masks, :meth:`rollback` undoes the configuration in
+    O(1) without re-rasterising anything.
 
-    * **apply/unapply** (legacy): :meth:`apply` mutates everything and
-      returns the delta; a rejection pays a full :meth:`unapply` —
-      including a second disc rasterisation per disc touched.
-    * **price/commit/rollback** (trial): :meth:`price` mutates only the
-      configuration (so densities and overlap energies evaluate against
-      bit-identical state) while coverage counts and the cached
-      posterior stay untouched; :meth:`commit` finalises an acceptance
-      from the cached rasterisation masks, :meth:`rollback` undoes the
-      configuration in O(1) without re-rasterising anything.
-
-    The base implementations fall back to apply/unapply; every concrete
-    move class — the RJMCMC split/merge pair included — overrides all
-    three with true trial pricing.  ``supports_trial`` advertises which
-    protocol a class actually implements (``NullMove`` does not).
+    Rollback replays the inverse config ops in reverse order so the
+    configuration's LIFO free list hands every removed circle its
+    original slot back: index identity must survive a rollback, because
+    :meth:`reapply` (multiproposal rounds) and the moves' own index
+    bookkeeping depend on it.
     """
 
     move_type: MoveType
-    supports_trial: bool = False
 
     def is_valid(self, post: PosteriorState) -> bool:
-        """Pre-application validity (bounds, truncations, constraints)."""
+        """Pre-pricing validity (bounds, truncations, constraints)."""
         raise NotImplementedError
 
     def log_forward_density(self, post: PosteriorState) -> float:
-        """log q(move | current state); evaluate before :meth:`apply`."""
+        """log q(move | current state); evaluate before :meth:`price`."""
         raise NotImplementedError
 
-    def apply(self, post: PosteriorState) -> float:
-        """Mutate *post*; return the log-posterior delta."""
+    def price(self, post: PosteriorState) -> float:
+        """Price the move; return the exact log-posterior delta.
+
+        Must be followed by exactly one of :meth:`commit` /
+        :meth:`rollback`.
+        """
         raise NotImplementedError
 
     def log_reverse_density(self, post: PosteriorState) -> float:
-        """log q(inverse move | new state); evaluate after :meth:`apply`
-        (or :meth:`price` — the configuration state it reads is the
-        same)."""
+        """log q(inverse move | new state); evaluate after :meth:`price`."""
         raise NotImplementedError
 
     def log_jacobian(self) -> float:
         """log |J| of the dimension-matching transform (0 for fixed-d moves)."""
         return 0.0
 
-    def unapply(self, post: PosteriorState) -> None:
-        """Undo :meth:`apply`, restoring state and cached posterior."""
-        raise NotImplementedError
-
-    # -- trial protocol (default: fall back to apply/unapply) ---------------
-    def price(self, post: PosteriorState) -> float:
-        """Price the move; return the exact log-posterior delta.
-
-        Must be followed by exactly one of :meth:`commit` /
-        :meth:`rollback`.  The fallback simply applies the move (so
-        commit is a no-op and rollback is a full unapply).
-        """
-        return self.apply(post)
-
     def commit(self, post: PosteriorState) -> None:
         """Finalise an accepted :meth:`price`."""
-        return None
+        post.commit_trial()
 
     def rollback(self, post: PosteriorState) -> None:
         """Undo a rejected :meth:`price`."""
-        self.unapply(post)
+        raise NotImplementedError
 
     def reapply(self, post: PosteriorState) -> None:
         """Redo this move's configuration mutations after a rollback.
@@ -183,14 +166,8 @@ class NullMove(Move):
     def log_forward_density(self, post: PosteriorState) -> float:  # pragma: no cover
         return _NEG_INF
 
-    def apply(self, post: PosteriorState) -> float:  # pragma: no cover
-        raise ChainError("NullMove cannot be applied")
-
     def log_reverse_density(self, post: PosteriorState) -> float:  # pragma: no cover
         return _NEG_INF
-
-    def unapply(self, post: PosteriorState) -> None:  # pragma: no cover
-        raise ChainError("NullMove cannot be unapplied")
 
 
 class BirthMove(Move):
@@ -203,7 +180,6 @@ class BirthMove(Move):
         self.x, self.y, self.r = x, y, r
         self.ctx = ctx
         self._idx: Optional[int] = None
-        self._prev_lp: float = math.nan
 
     def is_valid(self, post: PosteriorState) -> bool:
         return post.centre_in_bounds(self.x, self.y) and post.radius_in_bounds(self.r)
@@ -215,29 +191,13 @@ class BirthMove(Move):
             + post.radius_prior.log_pdf(self.r)
         )
 
-    def apply(self, post: PosteriorState) -> float:
-        self._prev_lp = post.log_posterior
-        self._idx, delta = post.insert_circle(self.x, self.y, self.r)
-        return delta
-
     def log_reverse_density(self, post: PosteriorState) -> float:
         # Reverse = death selecting the new circle among the n current ones.
         return self.ctx.log_w(MoveType.DEATH) - math.log(post.config.n)
 
-    def unapply(self, post: PosteriorState) -> None:
-        if self._idx is None:
-            raise ChainError("BirthMove.unapply before apply")
-        post.delete_circle(self._idx)
-        post.set_log_posterior(self._prev_lp)
-
-    supports_trial = True
-
     def price(self, post: PosteriorState) -> float:
         self._idx, delta = post.trial_insert_circle(self.x, self.y, self.r)
         return delta
-
-    def commit(self, post: PosteriorState) -> None:
-        post.commit_trial()
 
     def rollback(self, post: PosteriorState) -> None:
         if self._idx is None:
@@ -261,18 +221,12 @@ class DeathMove(Move):
         self.idx = idx
         self.ctx = ctx
         self._removed: Optional[Circle] = None
-        self._prev_lp: float = math.nan
 
     def is_valid(self, post: PosteriorState) -> bool:
         return post.config.is_active(self.idx)
 
     def log_forward_density(self, post: PosteriorState) -> float:
         return self.ctx.log_w(MoveType.DEATH) - math.log(post.config.n)
-
-    def apply(self, post: PosteriorState) -> float:
-        self._prev_lp = post.log_posterior
-        self._removed, delta = post.delete_circle(self.idx)
-        return delta
 
     def log_reverse_density(self, post: PosteriorState) -> float:
         assert self._removed is not None
@@ -282,20 +236,9 @@ class DeathMove(Move):
             + post.radius_prior.log_pdf(self._removed.r)
         )
 
-    def unapply(self, post: PosteriorState) -> None:
-        if self._removed is None:
-            raise ChainError("DeathMove.unapply before apply")
-        post.insert_circle(self._removed.x, self._removed.y, self._removed.r)
-        post.set_log_posterior(self._prev_lp)
-
-    supports_trial = True
-
     def price(self, post: PosteriorState) -> float:
         self._removed, delta = post.trial_delete_circle(self.idx)
         return delta
-
-    def commit(self, post: PosteriorState) -> None:
-        post.commit_trial()
 
     def rollback(self, post: PosteriorState) -> None:
         if self._removed is None:
@@ -322,7 +265,6 @@ class ReplaceMove(Move):
         self.ctx = ctx
         self._removed: Optional[Circle] = None
         self._new_idx: Optional[int] = None
-        self._prev_lp: float = math.nan
 
     def is_valid(self, post: PosteriorState) -> bool:
         return (
@@ -339,12 +281,6 @@ class ReplaceMove(Move):
             + post.radius_prior.log_pdf(self.r)
         )
 
-    def apply(self, post: PosteriorState) -> float:
-        self._prev_lp = post.log_posterior
-        self._removed, d1 = post.delete_circle(self.idx)
-        self._new_idx, d2 = post.insert_circle(self.x, self.y, self.r)
-        return d1 + d2
-
     def log_reverse_density(self, post: PosteriorState) -> float:
         assert self._removed is not None
         return (
@@ -354,29 +290,17 @@ class ReplaceMove(Move):
             + post.radius_prior.log_pdf(self._removed.r)
         )
 
-    def unapply(self, post: PosteriorState) -> None:
-        if self._removed is None or self._new_idx is None:
-            raise ChainError("ReplaceMove.unapply before apply")
-        post.delete_circle(self._new_idx)
-        post.insert_circle(self._removed.x, self._removed.y, self._removed.r)
-        post.set_log_posterior(self._prev_lp)
-
-    supports_trial = True
-
     def price(self, post: PosteriorState) -> float:
         self._removed, d1 = post.trial_delete_circle(self.idx)
         self._new_idx, d2 = post.trial_insert_circle(self.x, self.y, self.r)
         return d1 + d2
 
-    def commit(self, post: PosteriorState) -> None:
-        post.commit_trial()
-
     def rollback(self, post: PosteriorState) -> None:
         if self._removed is None or self._new_idx is None:
             raise ChainError("ReplaceMove.rollback before price")
         post.discard_trial()
-        # Same config-op order as unapply: drop the new circle, then
-        # restore the old one into its recycled slot.
+        # Drop the new circle, then restore the old one into its
+        # recycled slot.
         post.rollback_insert(self._new_idx)
         post.rollback_delete(self._removed)
 
@@ -414,7 +338,6 @@ class SplitMove(Move):
         self._i1: Optional[int] = None
         self._i2: Optional[int] = None
         self._removed: Optional[Circle] = None
-        self._prev_lp: float = math.nan
 
     def is_valid(self, post: PosteriorState) -> bool:
         return (
@@ -436,13 +359,6 @@ class SplitMove(Move):
             - math.log(self.ctx.d_max)
         )
 
-    def apply(self, post: PosteriorState) -> float:
-        self._prev_lp = post.log_posterior
-        self._removed, d0 = post.delete_circle(self.idx)
-        self._i1, d1 = post.insert_circle(self.c1.x, self.c1.y, self.c1.r)
-        self._i2, d2 = post.insert_circle(self.c2.x, self.c2.y, self.c2.r)
-        return d0 + d1 + d2
-
     def log_reverse_density(self, post: PosteriorState) -> float:
         # Reverse = merge choosing the (c1, c2) pair in the post-split state.
         assert self._i1 is not None and self._i2 is not None
@@ -453,39 +369,19 @@ class SplitMove(Move):
             4.0 * self.d * self.original.r / math.sqrt(self.a * (1.0 - self.a))
         )
 
-    def unapply(self, post: PosteriorState) -> None:
-        if self._removed is None or self._i1 is None or self._i2 is None:
-            raise ChainError("SplitMove.unapply before apply")
-        # Reverse allocation order so the free-list (LIFO) hands the
-        # original circle its original slot back — index identity must
-        # survive a rollback (the speculative executor re-applies moves).
-        post.delete_circle(self._i2)
-        post.delete_circle(self._i1)
-        restored, _ = post.insert_circle(self._removed.x, self._removed.y, self._removed.r)
-        if restored != self.idx:
-            raise ChainError(
-                f"split rollback restored index {restored}, expected {self.idx}"
-            )
-        post.set_log_posterior(self._prev_lp)
-
-    supports_trial = True
-
     def price(self, post: PosteriorState) -> float:
-        # Same primitive order as apply: the second insert's overlap
-        # energy and pending-mask pricing must see the first insert.
+        # The second insert's overlap energy and pending-mask pricing
+        # must see the first insert.
         self._removed, d0 = post.trial_delete_circle(self.idx)
         self._i1, d1 = post.trial_insert_circle(self.c1.x, self.c1.y, self.c1.r)
         self._i2, d2 = post.trial_insert_circle(self.c2.x, self.c2.y, self.c2.r)
         return d0 + d1 + d2
 
-    def commit(self, post: PosteriorState) -> None:
-        post.commit_trial()
-
     def rollback(self, post: PosteriorState) -> None:
         if self._removed is None or self._i1 is None or self._i2 is None:
             raise ChainError("SplitMove.rollback before price")
         post.discard_trial()
-        # Same config-op order as unapply (LIFO free-list, index identity).
+        # Reverse allocation order (LIFO free list, index identity).
         post.rollback_insert(self._i2)
         post.rollback_insert(self._i1)
         restored = post.rollback_delete(self._removed)
@@ -523,7 +419,6 @@ class MergeMove(Move):
         self.d = 0.5 * ci.distance_to(cj)
         self.a = (ci.r * ci.r) / (2.0 * self.merged.r * self.merged.r)
         self._idx_m: Optional[int] = None
-        self._prev_lp: float = math.nan
 
     def is_valid(self, post: PosteriorState) -> bool:
         return (
@@ -538,13 +433,6 @@ class MergeMove(Move):
 
     def log_forward_density(self, post: PosteriorState) -> float:
         return _log_merge_pair_density(post, self.i, self.j, self.ctx)
-
-    def apply(self, post: PosteriorState) -> float:
-        self._prev_lp = post.log_posterior
-        _, d0 = post.delete_circle(self.i)
-        _, d1 = post.delete_circle(self.j)
-        self._idx_m, d2 = post.insert_circle(self.merged.x, self.merged.y, self.merged.r)
-        return d0 + d1 + d2
 
     def log_reverse_density(self, post: PosteriorState) -> float:
         # Reverse = split selecting the merged circle in the post state.
@@ -561,27 +449,9 @@ class MergeMove(Move):
             4.0 * self.d * self.merged.r / math.sqrt(self.a * (1.0 - self.a))
         )
 
-    def unapply(self, post: PosteriorState) -> None:
-        if self._idx_m is None:
-            raise ChainError("MergeMove.unapply before apply")
-        # Re-insert in reverse deletion order so the LIFO free list gives
-        # ci and cj their original slots back (index identity, see
-        # SplitMove.unapply).
-        post.delete_circle(self._idx_m)
-        rj, _ = post.insert_circle(self.cj.x, self.cj.y, self.cj.r)
-        ri, _ = post.insert_circle(self.ci.x, self.ci.y, self.ci.r)
-        if ri != self.i or rj != self.j:
-            raise ChainError(
-                f"merge rollback restored indices ({ri}, {rj}), expected "
-                f"({self.i}, {self.j})"
-            )
-        post.set_log_posterior(self._prev_lp)
-
-    supports_trial = True
-
     def price(self, post: PosteriorState) -> float:
-        # Same primitive order as apply; the insert prices against the
-        # pending state both deletions left behind.
+        # The insert prices against the pending state both deletions
+        # left behind.
         _, d0 = post.trial_delete_circle(self.i)
         _, d1 = post.trial_delete_circle(self.j)
         self._idx_m, d2 = post.trial_insert_circle(
@@ -589,15 +459,12 @@ class MergeMove(Move):
         )
         return d0 + d1 + d2
 
-    def commit(self, post: PosteriorState) -> None:
-        post.commit_trial()
-
     def rollback(self, post: PosteriorState) -> None:
         if self._idx_m is None:
             raise ChainError("MergeMove.rollback before price")
         post.discard_trial()
-        # Same config-op order as unapply: drop the merged circle, then
-        # re-insert in reverse deletion order for index identity.
+        # Drop the merged circle, then re-insert in reverse deletion
+        # order for index identity.
         post.rollback_insert(self._idx_m)
         rj = post.rollback_delete(self.cj)
         ri = post.rollback_delete(self.ci)
@@ -633,7 +500,6 @@ class TranslateMove(Move):
         self.new_x, self.new_y = new_x, new_y
         self.constraint = constraint
         self._old: Optional[Tuple[float, float]] = None
-        self._prev_lp: float = math.nan
 
     def is_valid(self, post: PosteriorState) -> bool:
         if not post.config.is_active(self.idx):
@@ -650,28 +516,12 @@ class TranslateMove(Move):
     def log_forward_density(self, post: PosteriorState) -> float:
         return 0.0  # symmetric proposal; cancels with reverse
 
-    def apply(self, post: PosteriorState) -> float:
-        self._prev_lp = post.log_posterior
-        self._old, delta = post.move_circle(self.idx, self.new_x, self.new_y)
-        return delta
-
     def log_reverse_density(self, post: PosteriorState) -> float:
         return 0.0
-
-    def unapply(self, post: PosteriorState) -> None:
-        if self._old is None:
-            raise ChainError("TranslateMove.unapply before apply")
-        post.move_circle(self.idx, self._old[0], self._old[1])
-        post.set_log_posterior(self._prev_lp)
-
-    supports_trial = True
 
     def price(self, post: PosteriorState) -> float:
         self._old, delta = post.trial_move_circle(self.idx, self.new_x, self.new_y)
         return delta
-
-    def commit(self, post: PosteriorState) -> None:
-        post.commit_trial()
 
     def rollback(self, post: PosteriorState) -> None:
         if self._old is None:
@@ -701,7 +551,6 @@ class ResizeMove(Move):
         self.new_r = new_r
         self.constraint = constraint
         self._old_r: Optional[float] = None
-        self._prev_lp: float = math.nan
 
     def is_valid(self, post: PosteriorState) -> bool:
         if not post.config.is_active(self.idx):
@@ -718,28 +567,12 @@ class ResizeMove(Move):
     def log_forward_density(self, post: PosteriorState) -> float:
         return 0.0
 
-    def apply(self, post: PosteriorState) -> float:
-        self._prev_lp = post.log_posterior
-        self._old_r, delta = post.resize_circle(self.idx, self.new_r)
-        return delta
-
     def log_reverse_density(self, post: PosteriorState) -> float:
         return 0.0
-
-    def unapply(self, post: PosteriorState) -> None:
-        if self._old_r is None:
-            raise ChainError("ResizeMove.unapply before apply")
-        post.resize_circle(self.idx, self._old_r)
-        post.set_log_posterior(self._prev_lp)
-
-    supports_trial = True
 
     def price(self, post: PosteriorState) -> float:
         self._old_r, delta = post.trial_resize_circle(self.idx, self.new_r)
         return delta
-
-    def commit(self, post: PosteriorState) -> None:
-        post.commit_trial()
 
     def rollback(self, post: PosteriorState) -> None:
         if self._old_r is None:

@@ -7,9 +7,10 @@ which returns its exact log-posterior delta computed from only the
 pixels and neighbour pairs it touches.
 
 Moves (see :mod:`repro.mcmc.moves`) are compositions of these
-primitives; rejected moves are rolled back with the inverse primitives
-and the cached log-posterior is restored bit-exactly from a saved value
-(never by re-adding a computed inverse, which could drift).
+primitives in their *trial* form: a move is priced without touching
+coverage counts or the cached log-posterior, then either committed or
+rolled back by undoing its configuration ops — the cached value is
+never restored by re-adding a computed inverse, which could drift.
 
 A posterior state may cover the full image (``row_offset = col_offset =
 0``) or just a partition patch — partition workers evaluate local moves
@@ -123,8 +124,8 @@ class PosteriorState:
         self.overlap_prior = OverlapPrior(spec)
         self._log_post = self.count_prior.log_pmf(0) + self.likelihood.base_loglik
         #: log-posterior deltas of uncommitted trial primitives, one entry
-        #: per primitive so commit replays the exact `+=` sequence the
-        #: legacy apply path performed (bit-parity of the cached value).
+        #: per primitive: commit folds them with one ``+=`` each — the
+        #: same floats as applying the primitives one at a time.
         self._trial_deltas: List[float] = []
         #: active deferred pricing program (multiproposal pass 1), or None.
         self._deferred: Optional[DeferredProgram] = None
@@ -136,7 +137,8 @@ class PosteriorState:
         return self._log_post
 
     def set_log_posterior(self, value: float) -> None:
-        """Restore a saved cached value (move rollback only)."""
+        """Overwrite the cached value (partition workers that skip the
+        full resync: only deltas matter for accept/reject)."""
         self._log_post = value
 
     def full_log_posterior(self) -> float:
@@ -163,88 +165,50 @@ class PosteriorState:
         return self.radius_prior.in_bounds(r)
 
     # -- primitive mutations -------------------------------------------------------
+    #
+    # Each primitive comes in two forms.  The trial form prices the
+    # change: it mutates the configuration (and its spatial hash) — so
+    # overlap-energy neighbour enumeration, free-list slot recycling and
+    # merge-partner selection see the post-move state — while the
+    # coverage rasterisation is priced without touching counts and the
+    # cached log-posterior is deferred to commit_trial().  A rejected
+    # move therefore costs one rasterisation per disc and an O(1)
+    # configuration rollback.  The plain form (insert_circle, ...) is
+    # the trial form committed at once, for callers outside the kernel.
+
     def insert_circle(self, x: float, y: float, r: float) -> Tuple[int, float]:
         """Add a circle; returns (index, log-posterior delta).
 
         The caller must have validated bounds (centre inside ``bounds``,
         radius inside the prior's truncation) — violations raise.
         """
-        if not self.centre_in_bounds(x, y):
-            raise ChainError(f"insert at ({x:.2f}, {y:.2f}) outside bounds {self.bounds}")
-        if not self.radius_in_bounds(r):
-            raise ChainError(f"insert with radius {r:.2f} outside prior bounds")
-        n_before = self.config.n
-        delta = self.count_prior.delta_birth(n_before)
-        delta += self.position_prior.per_circle()
-        delta += self.radius_prior.log_pdf(r)
-        delta += self.overlap_prior.circle_energy(self.config, x, y, r)
-        idx = self.config.add(x, y, r)
-        delta += self.likelihood.add_disc_delta(self.coverage, x, y, r)
-        self._log_post += delta
+        idx, delta = self.trial_insert_circle(x, y, r)
+        self.commit_trial()
         return idx, delta
 
     def delete_circle(self, idx: int) -> Tuple[Circle, float]:
         """Remove circle *idx*; returns (removed circle, delta)."""
-        n_before = self.config.n
-        removed = self.config.remove(idx)
-        delta = self.count_prior.delta_death(n_before)
-        delta -= self.position_prior.per_circle()
-        delta -= self.radius_prior.log_pdf(removed.r)
-        # Interaction energy with the remaining circles (idx already gone).
-        delta -= self.overlap_prior.circle_energy(
-            self.config, removed.x, removed.y, removed.r
-        )
-        delta += self.likelihood.remove_disc_delta(
-            self.coverage, removed.x, removed.y, removed.r
-        )
-        self._log_post += delta
+        removed, delta = self.trial_delete_circle(idx)
+        self.commit_trial()
         return removed, delta
 
     def move_circle(self, idx: int, x: float, y: float) -> Tuple[Tuple[float, float], float]:
         """Translate circle *idx*; returns (old centre, delta)."""
-        if not self.centre_in_bounds(x, y):
-            raise ChainError(f"move to ({x:.2f}, {y:.2f}) outside bounds {self.bounds}")
-        r = self.config.radius_of(idx)
-        ox, oy = self.config.position_of(idx)
-        delta = -self.overlap_prior.circle_energy(self.config, ox, oy, r, exclude=(idx,))
-        delta += self.likelihood.remove_disc_delta(self.coverage, ox, oy, r)
-        self.config.move_center(idx, x, y)
-        delta += self.overlap_prior.circle_energy(self.config, x, y, r, exclude=(idx,))
-        delta += self.likelihood.add_disc_delta(self.coverage, x, y, r)
-        self._log_post += delta
-        return (ox, oy), delta
+        old, delta = self.trial_move_circle(idx, x, y)
+        self.commit_trial()
+        return old, delta
 
     def resize_circle(self, idx: int, r: float) -> Tuple[float, float]:
         """Change circle *idx*'s radius; returns (old radius, delta)."""
-        if not self.radius_in_bounds(r):
-            raise ChainError(f"resize to {r:.2f} outside prior bounds")
-        x, y = self.config.position_of(idx)
-        old_r = self.config.radius_of(idx)
-        delta = self.radius_prior.log_pdf(r) - self.radius_prior.log_pdf(old_r)
-        delta -= self.overlap_prior.circle_energy(self.config, x, y, old_r, exclude=(idx,))
-        delta += self.likelihood.remove_disc_delta(self.coverage, x, y, old_r)
-        self.config.set_radius(idx, r)
-        delta += self.overlap_prior.circle_energy(self.config, x, y, r, exclude=(idx,))
-        delta += self.likelihood.add_disc_delta(self.coverage, x, y, r)
-        self._log_post += delta
+        old_r, delta = self.trial_resize_circle(idx, r)
+        self.commit_trial()
         return old_r, delta
-
-    # -- trial primitives (price now, mutate coverage/posterior on commit) --------
-    #
-    # Each trial primitive mirrors its mutating counterpart line for
-    # line: the configuration (and its spatial hash) is mutated in the
-    # SAME order — so overlap-energy neighbour enumeration, free-list
-    # slot recycling and merge-partner selection see bit-identical state
-    # — while the coverage rasterisation is priced without touching
-    # counts and the cached log-posterior is deferred to commit_trial().
-    # A rejected move therefore skips the second rasterisation (and the
-    # rollback energy queries) the legacy unapply path paid.
 
     def trial_insert_circle(self, x: float, y: float, r: float) -> Tuple[int, float]:
         """Price adding a circle; returns (index, log-posterior delta).
 
-        The configuration is mutated (as :meth:`insert_circle` would);
-        coverage counts and the cached posterior are not.
+        The configuration is mutated; coverage counts and the cached
+        posterior are not (until :meth:`commit_trial`).
         """
         if not self.centre_in_bounds(x, y):
             raise ChainError(f"insert at ({x:.2f}, {y:.2f}) outside bounds {self.bounds}")
@@ -380,7 +344,7 @@ class PosteriorState:
     def commit_trial(self) -> None:
         """Finalise the pending trial primitives: apply the cached
         coverage masks and fold each primitive's delta into the cached
-        posterior (same `+=` sequence as the legacy apply path)."""
+        posterior, one ``+=`` per primitive."""
         self.coverage.commit_pending()
         for delta in self._trial_deltas:
             self._log_post += delta
@@ -389,7 +353,7 @@ class PosteriorState:
     def discard_trial(self) -> None:
         """Drop the pending coverage masks and deltas (rejected move).
         The *configuration* rollback is the move's job — it replays the
-        exact inverse config ops the legacy unapply performed."""
+        inverse config ops in reverse order (see :class:`~repro.mcmc.moves.Move`)."""
         self.coverage.discard_pending()
         self._trial_deltas.clear()
 
@@ -477,8 +441,8 @@ class PosteriorState:
         self.coverage.discard_batch()
 
     # Config-only rollback helpers: the inverse configuration mutations
-    # of the trial primitives, with the coverage/posterior work (already
-    # skipped by the trial) omitted.  Op order matches legacy unapply.
+    # of the trial primitives (their coverage/posterior work was never
+    # done).  Moves call them in reverse primitive order.
     def rollback_insert(self, idx: int) -> None:
         self.config.remove(idx)
 

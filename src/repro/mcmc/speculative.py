@@ -30,13 +30,8 @@ from typing import List, Optional
 from repro.errors import ChainError, ConfigurationError
 from repro.geometry.circle import Circle
 from repro.mcmc.diagnostics import AcceptanceStats, Trace
-from repro.mcmc.kernel import (
-    evaluate_move,
-    multiproposal_step,
-    price_move,
-    trial_kernel_enabled,
-)
-from repro.mcmc.moves import MoveGenerator, NullMove
+from repro.mcmc.kernel import multiproposal_step, price_move
+from repro.mcmc.moves import MoveGenerator
 from repro.mcmc.posterior import PosteriorState
 from repro.utils.rng import RngStream, SeedLike, coerce_stream
 
@@ -123,53 +118,25 @@ class SpeculativeChain:
         if width < 1:
             raise ChainError(f"round width must be >= 1, got {width}")
         consumed = 0
-        if trial_kernel_enabled():
-            # Trial protocol: each losing proposal is priced and rolled
-            # back without ever touching coverage counts; the winner is
-            # committed straight from its cached rasterisation masks —
-            # no evaluate-rollback-reapply round-trip.
-            for _ in range(width):
-                move = self.gen.generate(self.post, self.stream)
-                consumed += 1
-                if isinstance(move, NullMove) or not move.is_valid(self.post):
-                    self.stats.record(move.move_type, proposed=False, accepted=False)
-                    continue
-                log_alpha = price_move(self.post, move)
-                if log_alpha is None:  # pragma: no cover - validity pre-checked
-                    self.stats.record(move.move_type, proposed=False, accepted=False)
-                    continue
-                accept = (
-                    log_alpha >= 0.0
-                    or math.log(self.stream.random() + 1e-300) < log_alpha
-                )
-                self.stats.record(move.move_type, proposed=True, accepted=accept)
-                if accept:
-                    move.commit(self.post)
-                    break
-                move.rollback(self.post)
-        else:
-            # Legacy reference protocol (parity gating / benchmarking).
-            winner = None
-            for _ in range(width):
-                move = self.gen.generate(self.post, self.stream)
-                consumed += 1
-                if isinstance(move, NullMove) or not move.is_valid(self.post):
-                    self.stats.record(move.move_type, proposed=False, accepted=False)
-                    continue
-                log_alpha = evaluate_move(self.post, move)
-                if log_alpha is None:
-                    self.stats.record(move.move_type, proposed=False, accepted=False)
-                    continue
-                accept = (
-                    log_alpha >= 0.0
-                    or math.log(self.stream.random() + 1e-300) < log_alpha
-                )
-                self.stats.record(move.move_type, proposed=True, accepted=accept)
-                if accept:
-                    winner = move
-                    break
-            if winner is not None:
-                winner.apply(self.post)
+        # Each losing proposal is priced and rolled back without ever
+        # touching coverage counts; the winner is committed straight
+        # from its cached rasterisation masks.
+        for _ in range(width):
+            move = self.gen.generate(self.post, self.stream)
+            consumed += 1
+            log_alpha = price_move(self.post, move)
+            if log_alpha is None:
+                self.stats.record(move.move_type, proposed=False, accepted=False)
+                continue
+            accept = (
+                log_alpha >= 0.0
+                or math.log(self.stream.random() + 1e-300) < log_alpha
+            )
+            self.stats.record(move.move_type, proposed=True, accepted=accept)
+            if accept:
+                move.commit(self.post)
+                break
+            move.rollback(self.post)
         self.rounds += 1
         self.iteration += consumed
         if self.iteration // self.record_every > (self.iteration - consumed) // self.record_every:

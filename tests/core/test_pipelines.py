@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.core.blind_pipeline import run_blind_pipeline
 from repro.core.evaluation import evaluate_model
-from repro.core.intelligent_pipeline import run_intelligent_pipeline
+from repro.engine import DetectionRequest, run
 from repro.imaging import SceneSpec, generate_bead_scene
 from repro.mcmc.spec import ModelSpec, MoveConfig
 
@@ -32,13 +31,17 @@ def bead_model():
     )
 
 
+def _intelligent(bead_scene, bead_model):
+    return run(DetectionRequest(
+        bead_scene.image, bead_model, MoveConfig(), 9000, strategy="intelligent",
+        executor="serial", seed=3, options={"theta": 0.5, "min_gap": 12},
+    )).raw
+
+
 class TestIntelligentPipeline:
     @pytest.fixture(scope="class")
     def result(self, bead_scene, bead_model):
-        return run_intelligent_pipeline(
-            bead_scene.image, bead_model, MoveConfig(),
-            iterations_per_partition=9000, theta=0.5, min_gap=12, seed=3,
-        )
+        return _intelligent(bead_scene, bead_model)
 
     def test_segments_into_clumps(self, result):
         assert 2 <= result.n_partitions <= 8
@@ -77,10 +80,7 @@ class TestIntelligentPipeline:
         )
 
     def test_deterministic(self, bead_scene, bead_model, result):
-        again = run_intelligent_pipeline(
-            bead_scene.image, bead_model, MoveConfig(),
-            iterations_per_partition=9000, theta=0.5, min_gap=12, seed=3,
-        )
+        again = _intelligent(bead_scene, bead_model)
         a = sorted((c.x, c.y) for c in result.circles)
         b = sorted((c.x, c.y) for c in again.circles)
         assert a == pytest.approx(b)
@@ -89,10 +89,10 @@ class TestIntelligentPipeline:
 class TestBlindPipeline:
     @pytest.fixture(scope="class")
     def result(self, bead_scene, bead_model):
-        return run_blind_pipeline(
-            bead_scene.image, bead_model, MoveConfig(),
-            iterations_per_partition=9000, nx=2, ny=2, seed=4,
-        )
+        return run(DetectionRequest(
+            bead_scene.image, bead_model, MoveConfig(), 9000, strategy="blind",
+            executor="serial", seed=4, options={"nx": 2, "ny": 2},
+        )).raw
 
     def test_four_partitions(self, result):
         assert len(result.partitions) == 4
@@ -134,12 +134,10 @@ class TestBlindPipeline:
 
 class TestNaivePartitioning:
     def test_runs_and_reports(self, bead_scene, bead_model):
-        from repro.core.naive import run_naive_partitioning
-
-        res = run_naive_partitioning(
-            bead_scene.image, bead_model, MoveConfig(),
-            iterations_per_tile=4000, nx=2, ny=2, seed=5,
-        )
+        res = run(DetectionRequest(
+            bead_scene.image, bead_model, MoveConfig(), 4000, strategy="naive",
+            executor="serial", seed=5, options={"nx": 2, "ny": 2},
+        )).raw
         assert len(res.tiles) == 4
         assert len(res.circles) >= 0
         lines = res.cut_lines()

@@ -1,13 +1,11 @@
 """Engine behaviour: request validation, seed-fixed parity with the
-legacy pipeline entry points, executor lifecycle ownership."""
+periodic sampler driven directly, executor lifecycle ownership."""
 
 import pytest
 
 from repro.bench.workloads import small_nuclei_workload
 from repro.core import PeriodicPartitioningSampler, PhaseSchedule
-from repro.core.blind_pipeline import run_blind_pipeline
-from repro.core.intelligent_pipeline import PartitionRunReport, run_intelligent_pipeline
-from repro.core.naive import run_naive_partitioning
+from repro.core.intelligent_pipeline import PartitionRunReport
 from repro.engine import auto_executor_kind, run
 from repro.errors import (
     ConfigurationError,
@@ -55,35 +53,8 @@ class TestRequestValidation:
 
 
 class TestLegacyParity:
-    """Seed-fixed: engine output is bit-identical to the legacy
-    run_*_pipeline entry points, for every strategy."""
-
-    def test_naive(self, workload):
-        legacy = run_naive_partitioning(
-            workload.scene.image, workload.model, workload.moves,
-            iterations_per_tile=ITERS, seed=SEED,
-        )
-        eng = run(workload.request("naive", iterations=ITERS, seed=SEED))
-        assert key(legacy.circles) == key(eng.circles)
-        assert legacy.tiles == [r.rect for r in eng.reports]
-
-    def test_blind(self, workload):
-        legacy = run_blind_pipeline(
-            workload.scene.image, workload.model, workload.moves,
-            iterations_per_partition=ITERS, theta=workload.threshold, seed=SEED,
-        )
-        eng = run(workload.request("blind", iterations=ITERS, seed=SEED))
-        assert key(legacy.circles) == key(eng.circles)
-        assert legacy.est_counts == eng.raw.est_counts
-
-    def test_intelligent(self, workload):
-        legacy = run_intelligent_pipeline(
-            workload.scene.image, workload.model, workload.moves,
-            iterations_per_partition=ITERS, theta=workload.threshold, seed=SEED,
-        )
-        eng = run(workload.request("intelligent", iterations=ITERS, seed=SEED))
-        assert key(legacy.circles) == key(eng.circles)
-        assert legacy.n_partitions == eng.n_partitions
+    """Seed-fixed: the engine's periodic strategy is bit-identical to
+    driving :class:`PeriodicPartitioningSampler` directly."""
 
     def test_periodic(self, workload):
         sampler = PeriodicPartitioningSampler(

@@ -1,38 +1,34 @@
-"""End-to-end bit-parity of the trial/commit kernel across strategies.
+"""End-to-end bit-parity of the kernel across strategies.
 
-Every strategy ultimately spins MarkovChain / SpeculativeChain, so a
-single engine run per strategy on each kernel — same request, same
-seeds, serial executor — pins the whole stack: identical detected
-circles, partition reports and posterior traces or the trial kernel is
-wrong.
+Every strategy ultimately spins MarkovChain / SpeculativeChain /
+MultiproposalChain, so engine runs per strategy — serial executor,
+seeds {42, 7}, ``proposal_batch`` {0, 1, 4} — pin the whole stack:
+detected circles, partition reports, per-partition traces and
+acceptance statistics must reproduce the frozen golden digests of
+``tests/mcmc/kernel_golden.json`` bit for bit.  Those digests were
+generated while the pre-trial apply/unapply kernel still ran alongside
+and produced the very same digests.
 """
+
+import sys
+from pathlib import Path
 
 import pytest
 
-from repro.bench.workloads import synthetic_workload
-from repro.engine import run as engine_run
-from repro.mcmc import legacy_kernel
-
-STRATEGIES = ["naive", "blind", "intelligent", "periodic"]
-
-
-@pytest.fixture(scope="module")
-def workload():
-    return synthetic_workload(size=96, n_circles=8, seed=5)
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "mcmc"))
+from test_kernel_golden import (  # noqa: E402
+    ENGINE_BATCHES,
+    ENGINE_SEEDS,
+    STRATEGIES,
+    engine_digest,
+    engine_key,
+    golden,
+)
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
-def test_strategy_bitwise_parity(workload, strategy):
-    request = workload.request(strategy, iterations=1_500, executor="serial", seed=42)
-    trial_result = engine_run(request)
-    with legacy_kernel():
-        ref_result = engine_run(request)
-
-    assert trial_result.circles == ref_result.circles  # bitwise, not approx
-    assert trial_result.n_tasks == ref_result.n_tasks
-    assert len(trial_result.reports) == len(ref_result.reports)
-    for trial_report, ref_report in zip(trial_result.reports, ref_result.reports):
-        assert trial_report.rect == ref_report.rect
-        assert trial_report.expected_count == ref_report.expected_count
-        assert trial_report.n_found == ref_report.n_found
-        assert trial_report.iterations == ref_report.iterations
+def test_strategy_bitwise_parity(strategy):
+    for seed in ENGINE_SEEDS:
+        for batch in ENGINE_BATCHES:
+            key = engine_key(strategy, seed, batch)
+            assert engine_digest(strategy, seed, batch) == golden(key), key

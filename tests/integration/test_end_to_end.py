@@ -13,9 +13,8 @@ from repro.core import (
     PeriodicPartitioningSampler,
     PhaseSchedule,
     evaluate_model,
-    run_blind_pipeline,
-    run_intelligent_pipeline,
 )
+from repro.engine import DetectionRequest, run
 from repro.imaging import SceneSpec, generate_bead_scene, threshold_filter
 from repro.imaging.density import estimate_count
 from repro.mcmc import MarkovChain, ModelSpec, MoveConfig, MoveGenerator, PosteriorState
@@ -71,19 +70,19 @@ class TestAllMethodsAgree:
 
     def test_intelligent_pipeline_quality(self, problem):
         scene, filtered, spec = problem
-        res = run_intelligent_pipeline(
-            scene.image, spec, MoveConfig(), iterations_per_partition=10000,
-            theta=0.5, min_gap=12, seed=3,
-        )
+        res = run(DetectionRequest(
+            scene.image, spec, MoveConfig(), 10000, strategy="intelligent",
+            executor="serial", seed=3, options={"theta": 0.5, "min_gap": 12},
+        )).raw
         report = evaluate_model(res.circles, scene.circles)
         assert report.f1 >= 0.6
 
     def test_blind_pipeline_quality(self, problem):
         scene, filtered, spec = problem
-        res = run_blind_pipeline(
-            scene.image, spec, MoveConfig(), iterations_per_partition=10000,
-            nx=2, ny=2, seed=4,
-        )
+        res = run(DetectionRequest(
+            scene.image, spec, MoveConfig(), 10000, strategy="blind",
+            executor="serial", seed=4, options={"nx": 2, "ny": 2},
+        )).raw
         report = evaluate_model(res.circles, scene.circles)
         assert report.f1 >= 0.55
 

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from repro.core import PeriodicPartitioningSampler, PhaseSchedule
-from repro.core.intelligent_pipeline import run_intelligent_pipeline
+from repro.engine import DetectionRequest
+from repro.engine import run as engine_run
 from repro.errors import PartitioningError
 from repro.imaging import Image, add_salt_pepper, threshold_filter
 from repro.imaging.synthetic import SceneSpec, generate_scene
@@ -47,8 +48,9 @@ class TestCorruptedInputs:
                          radius_mean=6.0, radius_std=1.0, radius_min=2.0,
                          radius_max=12.0)
         with pytest.raises(PartitioningError, match="no partitions"):
-            run_intelligent_pipeline(img, spec, MoveConfig(),
-                                     iterations_per_partition=100, seed=1)
+            engine_run(DetectionRequest(img, spec, MoveConfig(), 100,
+                                        strategy="intelligent", executor="serial",
+                                        seed=1))
 
     def test_empty_scene_periodic_runs(self):
         """No artifacts at all: local phases have nothing to do, but the

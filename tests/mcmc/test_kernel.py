@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.imaging.image import Image
-from repro.mcmc.kernel import evaluate_move, metropolis_hastings_step
+from repro.mcmc.kernel import metropolis_hastings_step, price_move
 from repro.mcmc.moves import BirthMove, MoveGenerator, TranslateMove
 from repro.mcmc.posterior import PosteriorState
 from repro.mcmc.spec import ModelSpec, MoveConfig
@@ -76,39 +76,47 @@ class TestStep:
         move = BirthMove(24, 24, 5, gen.ctx)
         stream = RngStream(seed=5)
         lf = move.log_forward_density(post)
-        delta = move.apply(post)
+        delta = move.price(post)
         lr = move.log_reverse_density(post)
-        move.unapply(post)
+        move.rollback(post)
         assert delta + lr - lf > 0  # would be accepted deterministically
 
 
 class TestEvaluateMove:
+    """price_move evaluates log α; a rollback then leaves no trace."""
+
     def test_evaluate_does_not_mutate(self, post, gen):
         post.insert_circle(24, 24, 5)
         lp = post.log_posterior
         snap = post.snapshot_circles()
+        counts = post.coverage.counts.copy()
         move = TranslateMove(int(post.config.active_indices()[0]), 25, 24)
-        log_alpha = evaluate_move(post, move)
+        log_alpha = price_move(post, move)
         assert log_alpha is not None
+        assert np.array_equal(post.coverage.counts, counts)  # priced, not applied
+        move.rollback(post)
         assert post.log_posterior == lp
         assert post.snapshot_circles() == snap
+        assert post.coverage.pending_count == 0
 
     def test_evaluate_invalid_returns_none(self, post, gen):
         move = BirthMove(100, 100, 5, gen.ctx)  # out of bounds
-        assert evaluate_move(post, move) is None
+        assert price_move(post, move) is None
+        assert post.coverage.pending_count == 0
 
     def test_evaluate_matches_step_pricing(self, post, gen):
-        """evaluate_move returns the same log α the kernel would compute."""
+        """price_move returns the same log α the kernel would compute."""
         idx, _ = post.insert_circle(24, 24, 5)
         move = TranslateMove(idx, 26, 23)
-        log_alpha = evaluate_move(post, move)
+        log_alpha = price_move(post, move)
+        move.rollback(post)
         # Recompute manually.
         move2 = TranslateMove(idx, 26, 23)
         lf = move2.log_forward_density(post)
-        delta = move2.apply(post)
+        delta = move2.price(post)
         lr = move2.log_reverse_density(post)
-        move2.unapply(post)
-        assert log_alpha == pytest.approx(delta + lr - lf)
+        move2.rollback(post)
+        assert log_alpha == delta + lr - lf
 
 
 class TestDetailedBalanceSmoke:

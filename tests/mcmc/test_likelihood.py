@@ -25,6 +25,20 @@ def image():
     return Image(rng.random((24, 24)))
 
 
+def add(lik, cov, x, y, r):
+    """Price one disc addition and commit it; returns the delta."""
+    delta = lik.trial_add_disc_delta(cov, x, y, r)
+    cov.commit_pending()
+    return delta
+
+
+def remove(lik, cov, x, y, r):
+    """Price one disc removal and commit it; returns the delta."""
+    delta = lik.trial_remove_disc_delta(cov, x, y, r)
+    cov.commit_pending()
+    return delta
+
+
 def direct_loglik(image, spec, coverage):
     """Reference: render the model and compute -beta * SSE directly."""
     model = np.where(coverage.counts > 0, spec.foreground, spec.background)
@@ -40,8 +54,8 @@ class TestFullEvaluation:
     def test_with_discs(self, image, spec):
         lik = PixelLikelihood(image, spec)
         cov = CoverageRaster(24, 24)
-        lik.add_disc_delta(cov, 10, 10, 4)
-        lik.add_disc_delta(cov, 15, 12, 3)
+        add(lik, cov, 10, 10, 4)
+        add(lik, cov, 15, 12, 3)
         assert lik.full_loglik(cov) == pytest.approx(direct_loglik(image, spec, cov))
 
 
@@ -50,26 +64,26 @@ class TestDeltas:
         lik = PixelLikelihood(image, spec)
         cov = CoverageRaster(24, 24)
         before = lik.full_loglik(cov)
-        delta = lik.add_disc_delta(cov, 8, 9, 5)
+        delta = add(lik, cov, 8, 9, 5)
         after = lik.full_loglik(cov)
         assert delta == pytest.approx(after - before, rel=1e-12, abs=1e-12)
 
     def test_remove_delta_matches_difference(self, image, spec):
         lik = PixelLikelihood(image, spec)
         cov = CoverageRaster(24, 24)
-        lik.add_disc_delta(cov, 8, 9, 5)
-        lik.add_disc_delta(cov, 11, 9, 4)
+        add(lik, cov, 8, 9, 5)
+        add(lik, cov, 11, 9, 4)
         before = lik.full_loglik(cov)
-        delta = lik.remove_disc_delta(cov, 8, 9, 5)
+        delta = remove(lik, cov, 8, 9, 5)
         after = lik.full_loglik(cov)
         assert delta == pytest.approx(after - before, rel=1e-12, abs=1e-12)
 
     def test_add_then_remove_cancels(self, image, spec):
         lik = PixelLikelihood(image, spec)
         cov = CoverageRaster(24, 24)
-        lik.add_disc_delta(cov, 6, 6, 3)
-        d_add = lik.add_disc_delta(cov, 7, 8, 4)
-        d_rem = lik.remove_disc_delta(cov, 7, 8, 4)
+        add(lik, cov, 6, 6, 3)
+        d_add = add(lik, cov, 7, 8, 4)
+        d_rem = remove(lik, cov, 7, 8, 4)
         assert d_add == pytest.approx(-d_rem, rel=1e-12)
 
     def test_bright_pixels_reward_coverage(self, spec):
@@ -78,14 +92,14 @@ class TestDeltas:
         arr[8:16, 8:16] = spec.foreground
         lik = PixelLikelihood(Image(arr), spec)
         cov = CoverageRaster(24, 24)
-        delta = lik.add_disc_delta(cov, 12, 12, 3)
+        delta = add(lik, cov, 12, 12, 3)
         assert delta > 0
 
     def test_dark_pixels_penalise_coverage(self, spec):
         arr = np.full((24, 24), spec.background)
         lik = PixelLikelihood(Image(arr), spec)
         cov = CoverageRaster(24, 24)
-        delta = lik.add_disc_delta(cov, 12, 12, 3)
+        delta = add(lik, cov, 12, 12, 3)
         assert delta < 0
 
 
@@ -102,15 +116,15 @@ class TestWindows:
         patch = PixelLikelihood(patch_img, spec, row_offset=10, col_offset=5)
         cov_patch = CoverageRaster(20, 24, row_offset=10, col_offset=5)
 
-        d_full = full.add_disc_delta(cov_full, 15.0, 20.0, 4.0)
-        d_patch = patch.add_disc_delta(cov_patch, 15.0, 20.0, 4.0)
+        d_full = add(full, cov_full, 15.0, 20.0, 4.0)
+        d_patch = add(patch, cov_patch, 15.0, 20.0, 4.0)
         assert d_patch == pytest.approx(d_full, rel=1e-12)
 
     def test_misaligned_raster_raises(self, image, spec):
         lik = PixelLikelihood(image, spec)
         wrong = CoverageRaster(24, 24, row_offset=1)
         with pytest.raises(ChainError):
-            lik.add_disc_delta(wrong, 5, 5, 2)
+            add(lik, wrong, 5, 5, 2)
         wrong_shape = CoverageRaster(23, 24)
         with pytest.raises(ChainError):
             lik.full_loglik(wrong_shape)

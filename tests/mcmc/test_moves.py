@@ -1,6 +1,6 @@
 """Tests for repro.mcmc.moves — reversible-jump bookkeeping.
 
-Key properties: apply→unapply restores state and cached posterior
+Key properties: price→rollback restores state and cached posterior
 exactly; split and merge are exact inverses (geometry AND densities);
 Jacobians match numerical differentiation.
 """
@@ -60,7 +60,7 @@ def snapshot(post):
 
 
 class TestApplyUnapply:
-    """Every move must restore state and cache exactly on unapply."""
+    """Every move must restore state and cache exactly on rollback."""
 
     def _roundtrip(self, post, move):
         circles_before = snapshot(post)
@@ -70,10 +70,10 @@ class TestApplyUnapply:
         }
         lp_before = post.log_posterior
         assert move.is_valid(post)
-        move.apply(post)
-        move.unapply(post)
+        move.price(post)
+        move.rollback(post)
         assert snapshot(post) == pytest.approx(circles_before)
-        # Index identity must survive rollback (speculative re-apply
+        # Index identity must survive rollback (multiproposal reapply
         # depends on it) — regression test for the LIFO-undo-order bug.
         by_index_after = {
             int(i): (post.config.xs[i], post.config.ys[i], post.config.rs[i])
@@ -84,13 +84,14 @@ class TestApplyUnapply:
         post.verify_consistency()
 
     def test_reapply_after_rollback(self, post, gen):
-        """A move evaluated (apply+unapply) must re-apply cleanly — the
-        speculative executor's exact usage pattern."""
+        """A move priced and rolled back must price and commit cleanly
+        again — rollback restores every slot the move will reuse."""
         idx, _ = post.insert_circle(30, 30, 5)
         move = SplitMove(idx, post.config.circle_at(idx), 0.5, 3.0, 0.4, gen.ctx)
-        move.apply(post)
-        move.unapply(post)
-        move.apply(post)  # must not raise
+        move.price(post)
+        move.rollback(post)
+        move.price(post)  # must not raise
+        move.commit(post)
         post.verify_consistency()
 
     def test_birth(self, post, gen):
@@ -130,7 +131,8 @@ class TestSplitMergeInverse:
         original = post.config.circle_at(idx)
         split = SplitMove(idx, original, theta=1.1, d=4.0, a=0.35, ctx=gen.ctx)
         assert split.is_valid(post)
-        split.apply(post)
+        split.price(post)
+        split.commit(post)
         i1, i2 = split._i1, split._i2
         merge = MergeMove(
             i1, i2, post.config.circle_at(i1), post.config.circle_at(i2), gen.ctx
@@ -193,12 +195,14 @@ class TestDensityConsistency:
         death's (reverse, forward) at the corresponding states."""
         birth = BirthMove(30, 30, 5, gen.ctx)
         lf_birth = birth.log_forward_density(post)
-        birth.apply(post)
+        birth.price(post)
+        birth.commit(post)
         lr_birth = birth.log_reverse_density(post)
 
         death = DeathMove(birth._idx, gen.ctx)
         lf_death = death.log_forward_density(post)
-        death.apply(post)
+        death.price(post)
+        death.commit(post)
         lr_death = death.log_reverse_density(post)
 
         assert lf_death == pytest.approx(lr_birth)
@@ -208,7 +212,8 @@ class TestDensityConsistency:
         idx, _ = post.insert_circle(30, 30, 5)
         split = SplitMove(idx, post.config.circle_at(idx), 1.2, 3.0, 0.45, gen.ctx)
         lf_split = split.log_forward_density(post)
-        split.apply(post)
+        split.price(post)
+        split.commit(post)
         lr_split = split.log_reverse_density(post)
 
         merge = MergeMove(
@@ -217,7 +222,8 @@ class TestDensityConsistency:
             gen.ctx,
         )
         lf_merge = merge.log_forward_density(post)
-        merge.apply(post)
+        merge.price(post)
+        merge.commit(post)
         lr_merge = merge.log_reverse_density(post)
 
         assert lf_merge == pytest.approx(lr_split)
@@ -227,7 +233,8 @@ class TestDensityConsistency:
         idx, _ = post.insert_circle(30, 30, 5)
         mv = TranslateMove(idx, 31, 30)
         assert mv.log_forward_density(post) == 0.0
-        mv.apply(post)
+        mv.price(post)
+        mv.commit(post)
         assert mv.log_reverse_density(post) == 0.0
         assert mv.log_jacobian() == 0.0
 

@@ -57,7 +57,7 @@ def _seeded_raster(weights_seed: int, base_discs) -> tuple:
     weights = rng.random((32, 32)) * 2.0 - 1.0
     cov = CoverageRaster(32, 32)
     for x, y, r in base_discs:
-        cov.add_disc(x, y, r, weights)
+        cov.add_disc_counts_only(x, y, r)
     return cov, weights
 
 
@@ -140,15 +140,16 @@ class TestBatchPricing:
         assert cov.counts.sum() == 0
 
     def test_legacy_ops_refuse_staged_batch(self):
+        """Direct count mutations refuse to run over a staged batch."""
         weights = np.ones((16, 16))
         cov = CoverageRaster(16, 16)
         cov.trial_price_batch([[(1, 8.0, 8.0, 3.0)]], weights)
         assert cov.batch_pending_count == 1
         with pytest.raises(ChainError):
-            cov.add_disc(8.0, 8.0, 3.0, weights)
+            cov.add_disc_counts_only(8.0, 8.0, 3.0)
         cov.discard_batch()
         assert cov.batch_pending_count == 0
-        cov.add_disc(8.0, 8.0, 3.0, weights)  # fine again
+        cov.add_disc_counts_only(8.0, 8.0, 3.0)  # fine again
 
 
 # -- raster reuse / reset ----------------------------------------------------
@@ -163,12 +164,14 @@ class TestRasterReuse:
         small_weights = rng.random((20, 24)) * 2.0 - 1.0
 
         reused = CoverageRaster(48, 48)
-        reused.add_disc(20.0, 20.0, 8.0, big_weights)  # warm scratch
+        reused.trial_add_disc(20.0, 20.0, 8.0, big_weights)  # warm scratch
+        reused.commit_pending()
         reused.reset(20, 24, row_offset=3, col_offset=5)
         fresh = CoverageRaster(20, 24, row_offset=3, col_offset=5)
 
         for cov in (reused, fresh):
-            cov.add_disc(12.0, 10.0, 4.0, small_weights)
+            cov.trial_add_disc(12.0, 10.0, 4.0, small_weights)
+            cov.commit_pending()
         d_reused = reused.trial_add_disc(14.0, 11.0, 3.5, small_weights)
         d_fresh = fresh.trial_add_disc(14.0, 11.0, 3.5, small_weights)
         assert d_reused == d_fresh
@@ -187,7 +190,7 @@ class TestRasterReuse:
 
     def test_posterior_adopts_and_resets_raster(self, small_filtered, small_spec):
         cached = CoverageRaster(8, 8)
-        cached.add_disc(4.0, 4.0, 2.0, np.ones((8, 8)))
+        cached.add_disc_counts_only(4.0, 4.0, 2.0)
         post = PosteriorState(small_filtered, small_spec, coverage=cached)
         assert post.coverage is cached
         assert cached.counts.shape == (small_filtered.height, small_filtered.width)
@@ -212,7 +215,8 @@ class TestRasterReuse:
 class TestCountsOnlyDebugChecks:
     def test_rebuild_from_runs_window_cross_check(self):
         """With debug_checks on, every counts-only rasterisation is
-        re-derived through the legacy window path and compared."""
+        re-derived through the from-scratch reference window
+        (``_disc_window``) and compared."""
         cov = CoverageRaster(24, 24, debug_checks=True)
         cov.rebuild_from([6.0, 15.0, 11.0], [7.0, 14.0, 9.0], [3.0, 4.0, 2.5])
         reference = CoverageRaster(24, 24)
@@ -527,7 +531,7 @@ class TestBatchAllocationDiscipline:
         rng = np.random.default_rng(13)
         weights = rng.random((96, 96)) * 2.0 - 1.0
         cov = CoverageRaster(96, 96)
-        cov.add_disc(48.0, 48.0, 20.0, weights)
+        cov.add_disc_counts_only(48.0, 48.0, 20.0)
         groups = [
             [(1, 30.0 + 3.0 * k, 40.0, 6.0)] if k % 2 else
             [(-1, 48.0, 48.0, 20.0), (1, 50.0 + k, 47.0, 19.0)]

@@ -1,13 +1,13 @@
-"""Bit-parity suite for the trial/commit kernel.
+"""The price/commit/rollback protocol, pinned to references.
 
-The trial protocol (price → commit/rollback) must be indistinguishable
-— bit for bit — from the legacy apply/unapply kernel it replaces: same
-deltas, same chains, same traces, same acceptance statistics, across
-every move class and every chain driver.  These tests pin that, plus
-the allocation discipline of the steady-state trial path.
+Coverage-level trial deltas are checked against the from-scratch
+reference rasteriser (``CoverageRaster._disc_window``); committed moves
+against applying their posterior primitives one at a time; rolled-back
+moves against the untouched state; whole chains against the frozen
+golden digests of ``kernel_golden.json``.  Plus the allocation
+discipline of the steady-state trial path.
 """
 
-import math
 import tracemalloc
 
 import numpy as np
@@ -20,20 +20,37 @@ from repro.geometry.circle import Circle
 from repro.mcmc import (
     BirthMove,
     DeathMove,
-    MarkovChain,
     MergeMove,
     MoveGenerator,
     PosteriorState,
     ReplaceMove,
     ResizeMove,
-    SpeculativeChain,
     SplitMove,
     TranslateMove,
-    legacy_kernel,
 )
 from repro.mcmc.coverage import CoverageRaster
-from repro.mcmc.kernel import evaluate_move, price_move, trial_kernel_enabled
-from repro.mcmc.mc3 import MetropolisCoupledChains
+from repro.mcmc.kernel import price_move
+from test_kernel_golden import (
+    golden,
+    markov_digest,
+    mc3_digest,
+    small_scene_model,
+    speculative_digest,
+)
+
+
+def reference_op(cov, counts, x, y, r, weights, sign):
+    """Apply one disc op to the *counts* array through the from-scratch
+    reference window; return Σ weights over the newly covered (sign +1)
+    or vacated (sign −1) pixels."""
+    win = cov._disc_window(x, y, r)
+    if win is None:
+        return 0.0
+    rows, cols, mask = win
+    patch = counts[rows, cols]
+    boundary = mask & (patch == (0 if sign > 0 else 1))
+    patch[mask] += sign
+    return float(weights[rows, cols][boundary].sum()) if boundary.any() else 0.0
 
 
 # -- coverage-level delta equality (property tests) -------------------------
@@ -51,60 +68,59 @@ class TestTrialCoverageDeltas:
     def test_trial_add_matches_legacy_add(self, discs):
         rng = np.random.default_rng(0)
         weights = rng.random((32, 32)) * 2.0 - 1.0
-        legacy = CoverageRaster(32, 32)
         trial = CoverageRaster(32, 32)
+        ref = np.zeros((32, 32), dtype=np.int32)
         for x, y, r in discs:
-            expected = legacy.add_disc(x, y, r, weights)
+            expected = reference_op(trial, ref, x, y, r, weights, +1)
             got = trial.trial_add_disc(x, y, r, weights)
             trial.commit_pending()
             assert got == expected  # bitwise, not approx
-            assert np.array_equal(trial.counts, legacy.counts)
+            assert np.array_equal(trial.counts, ref)
 
     @settings(max_examples=40, deadline=None)
     @given(discs=st.lists(disc_st, min_size=1, max_size=5))
     def test_trial_remove_matches_legacy_remove(self, discs):
         rng = np.random.default_rng(1)
         weights = rng.random((32, 32)) * 2.0 - 1.0
-        legacy = CoverageRaster(32, 32)
         trial = CoverageRaster(32, 32)
+        ref = np.zeros((32, 32), dtype=np.int32)
         for x, y, r in discs:
-            legacy.add_disc(x, y, r, weights)
-            trial.trial_add_disc(x, y, r, weights)
-            trial.commit_pending()
+            reference_op(trial, ref, x, y, r, weights, +1)
+            trial.add_disc_counts_only(x, y, r)
         for x, y, r in discs:
-            expected = legacy.remove_disc(x, y, r, weights)
+            expected = reference_op(trial, ref, x, y, r, weights, -1)
             got = trial.trial_remove_disc(x, y, r, weights)
             trial.commit_pending()
             assert got == expected
-            assert np.array_equal(trial.counts, legacy.counts)
+            assert np.array_equal(trial.counts, ref)
 
     @settings(max_examples=40, deadline=None)
     @given(disc=disc_st, dx=st.floats(-3.0, 3.0), dy=st.floats(-3.0, 3.0))
     def test_overlapping_remove_then_add_sequence(self, disc, dx, dy):
         """A translate-shaped trial (remove old disc, add overlapping new
         disc) must price the add against the counts *as the removal left
-        them* — matching legacy mutate-then-evaluate exactly."""
+        them* — matching mutate-then-evaluate on the reference exactly."""
         x, y, r = disc
         rng = np.random.default_rng(2)
         weights = rng.random((32, 32)) * 2.0 - 1.0
-        legacy = CoverageRaster(32, 32)
         trial = CoverageRaster(32, 32)
-        for raster in (legacy, trial):
-            raster.add_disc(x, y, r, weights)
-            raster.add_disc(x + dx, y + dy, max(r - 0.5, 0.4), weights)
-        d_rm = legacy.remove_disc(x, y, r, weights)
-        d_ad = legacy.add_disc(x + dx, y + dy, r, weights)
+        ref = np.zeros((32, 32), dtype=np.int32)
+        for cx, cy, cr in ((x, y, r), (x + dx, y + dy, max(r - 0.5, 0.4))):
+            trial.add_disc_counts_only(cx, cy, cr)
+            reference_op(trial, ref, cx, cy, cr, weights, +1)
+        d_rm = reference_op(trial, ref, x, y, r, weights, -1)
+        d_ad = reference_op(trial, ref, x + dx, y + dy, r, weights, +1)
 
         t_rm = trial.trial_remove_disc(x, y, r, weights)
         t_ad = trial.trial_add_disc(x + dx, y + dy, r, weights)
         assert (t_rm, t_ad) == (d_rm, d_ad)
         trial.commit_pending()
-        assert np.array_equal(trial.counts, legacy.counts)
+        assert np.array_equal(trial.counts, ref)
 
     def test_discard_leaves_counts_untouched(self):
         weights = np.ones((20, 20))
         cov = CoverageRaster(20, 20)
-        cov.add_disc(10, 10, 4, weights)
+        cov.add_disc_counts_only(10, 10, 4)
         before = cov.counts.copy()
         cov.trial_remove_disc(10, 10, 4, weights)
         cov.trial_add_disc(12, 9, 4, weights)
@@ -114,33 +130,34 @@ class TestTrialCoverageDeltas:
         assert np.array_equal(cov.counts, before)
 
     def test_legacy_ops_refuse_pending_trials(self):
+        """Direct count mutations refuse to run over pending trials."""
         weights = np.ones((20, 20))
         cov = CoverageRaster(20, 20)
         cov.trial_add_disc(10, 10, 4, weights)
         with pytest.raises(ChainError):
-            cov.add_disc(10, 10, 4, weights)
+            cov.add_disc_counts_only(10, 10, 4)
         with pytest.raises(ChainError):
             cov.rebuild_from([10], [10], [4])
         cov.discard_pending()
-        cov.add_disc(10, 10, 4, weights)  # fine again
+        cov.add_disc_counts_only(10, 10, 4)  # fine again
 
     def test_rebuild_from_counts_only_path(self):
-        """rebuild_from no longer allocates a dummy weight map and still
-        reproduces the exact counts of the weighted add path."""
+        """rebuild_from reproduces the exact counts of the reference
+        window, without allocating a weight map."""
         xs, ys, rs = [5.0, 12.0, 11.0], [6.0, 12.0, 7.0], [3.0, 4.0, 2.5]
-        reference = CoverageRaster(20, 20)
+        rebuilt = CoverageRaster(20, 20)
+        ref = np.zeros((20, 20), dtype=np.int32)
         w = np.zeros((20, 20))
         for x, y, r in zip(xs, ys, rs):
-            reference.add_disc(x, y, r, w)
-        rebuilt = CoverageRaster(20, 20)
+            reference_op(rebuilt, ref, x, y, r, w, +1)
         rebuilt.rebuild_from(xs, ys, rs)
-        assert rebuilt.equals(reference)
+        assert np.array_equal(rebuilt.counts, ref)
 
     def test_pickle_roundtrip_drops_scratch(self):
         import pickle
 
         cov = CoverageRaster(16, 16, row_offset=3, col_offset=4)
-        cov.add_disc(8, 8, 3, np.ones((16, 16)))
+        cov.add_disc_counts_only(8, 8, 3)
         clone = pickle.loads(pickle.dumps(cov))
         assert clone.equals(cov)
         # Scratch is rebuilt, trial ops still work after the round-trip.
@@ -192,64 +209,70 @@ def _make_moves(ctx):
     }
 
 
+def _apply_primitives(ctx):
+    """Each move of :func:`_make_moves` as its posterior primitives,
+    each committed before the next one prices (no pending overlay)."""
+    split = _make_moves(ctx)["split"]()
+    merged = _make_moves(ctx)["merge"]().merged
+    return {
+        "birth": lambda p: p.insert_circle(45.0, 52.0, 5.5)[1],
+        "death": lambda p: p.delete_circle(0)[1],
+        "replace": lambda p: p.delete_circle(1)[1] + p.insert_circle(20.0, 70.0, 4.5)[1],
+        "translate": lambda p: p.move_circle(0, 31.5, 28.5)[1],
+        "resize": lambda p: p.resize_circle(2, 5.1)[1],
+        "split": lambda p: (
+            p.delete_circle(0)[1]
+            + p.insert_circle(split.c1.x, split.c1.y, split.c1.r)[1]
+            + p.insert_circle(split.c2.x, split.c2.y, split.c2.r)[1]
+        ),
+        "merge": lambda p: (
+            p.delete_circle(0)[1]
+            + p.delete_circle(2)[1]
+            + p.insert_circle(merged.x, merged.y, merged.r)[1]
+        ),
+    }
+
+
 @pytest.fixture
 def ctx(small_spec, move_config):
     return MoveGenerator(small_spec, move_config).ctx
 
 
+MOVE_NAMES = ["birth", "death", "replace", "translate", "resize", "split", "merge"]
+
+
 class TestMoveTrialProtocol:
     @pytest.mark.fast
-    @pytest.mark.parametrize(
-        "name",
-        ["birth", "death", "replace", "translate", "resize", "split", "merge"],
-    )
+    @pytest.mark.parametrize("name", MOVE_NAMES)
     def test_price_commit_equals_apply(self, name, small_filtered, small_spec, ctx):
+        """Committing a priced move (later primitives priced against the
+        pending masks of earlier ones) equals applying its primitives
+        one at a time — bit for bit."""
         post_a, post_b = _twin_posts(small_filtered, small_spec)
-        move_a = _make_moves(ctx)[name]()
-        move_b = _make_moves(ctx)[name]()
-        assert type(move_a).supports_trial
+        move = _make_moves(ctx)[name]()
 
-        delta_trial = move_a.price(post_a)
-        delta_apply = move_b.apply(post_b)
+        delta_trial = move.price(post_a)
+        delta_apply = _apply_primitives(ctx)[name](post_b)
         assert delta_trial == delta_apply  # bitwise
-        # Reverse densities read the same (priced vs applied) state.
-        assert move_a.log_reverse_density(post_a) == move_b.log_reverse_density(post_b)
-        move_a.commit(post_a)
+        move.commit(post_a)
         assert _sig_equal(_signature(post_a), _signature(post_b))
         post_a.verify_consistency()
 
     @pytest.mark.fast
-    @pytest.mark.parametrize(
-        "name",
-        ["birth", "death", "replace", "translate", "resize", "split", "merge"],
-    )
+    @pytest.mark.parametrize("name", MOVE_NAMES)
     def test_price_rollback_equals_apply_unapply(
         self, name, small_filtered, small_spec, ctx
     ):
+        """A rolled-back move leaves no trace: the state is exactly the
+        untouched twin's, free-list slots included."""
         post_a, post_b = _twin_posts(small_filtered, small_spec)
-        original = _signature(post_a)
-        move_a = _make_moves(ctx)[name]()
-        move_b = _make_moves(ctx)[name]()
+        move = _make_moves(ctx)[name]()
 
-        move_a.price(post_a)
-        move_a.rollback(post_a)
-        move_b.apply(post_b)
-        move_b.unapply(post_b)
-        assert _sig_equal(_signature(post_a), original)
+        move.price(post_a)
+        move.rollback(post_a)
         assert _sig_equal(_signature(post_a), _signature(post_b))
+        assert post_a.config._free == post_b.config._free
         post_a.verify_consistency()
-
-    @pytest.mark.fast
-    def test_evaluate_move_is_state_neutral_on_trial_kernel(
-        self, small_filtered, small_spec, ctx
-    ):
-        assert trial_kernel_enabled()
-        (post,) = _twin_posts(small_filtered, small_spec)[:1]
-        original = _signature(post)
-        log_alpha = evaluate_move(post, TranslateMove(0, 32.0, 29.0))
-        assert log_alpha is not None and math.isfinite(log_alpha)
-        assert _sig_equal(_signature(post), original)
-        assert post.coverage.pending_count == 0
 
     @pytest.mark.fast
     def test_price_move_leaves_move_priced(self, small_filtered, small_spec, ctx):
@@ -263,77 +286,21 @@ class TestMoveTrialProtocol:
         post.verify_consistency()
 
 
-# -- chain-level parity -------------------------------------------------------
-
-def _fresh_chain(small_filtered, small_spec, move_config, seed, record_every=50):
-    post = PosteriorState(small_filtered, small_spec)
-    gen = MoveGenerator(small_spec, move_config)
-    return MarkovChain(post, gen, seed=seed, record_every=record_every)
-
+# -- chain-level parity: frozen golden digests ---------------------------------
 
 class TestChainParity:
-    def test_markov_chain_bitwise_parity(self, small_filtered, small_spec, move_config):
-        trial = _fresh_chain(small_filtered, small_spec, move_config, seed=17)
-        result_t = trial.run(2_000)
-        with legacy_kernel():
-            ref = _fresh_chain(small_filtered, small_spec, move_config, seed=17)
-            result_r = ref.run(2_000)
-        assert result_t.final_circles == result_r.final_circles
-        assert result_t.posterior_trace.values == result_r.posterior_trace.values
-        assert result_t.posterior_trace.iterations == result_r.posterior_trace.iterations
-        assert result_t.count_trace.values == result_r.count_trace.values
-        assert result_t.stats.generated == result_r.stats.generated
-        assert result_t.stats.proposed == result_r.stats.proposed
-        assert result_t.stats.accepted == result_r.stats.accepted
-        assert trial.post.log_posterior == ref.post.log_posterior
-        assert np.array_equal(trial.post.coverage.counts, ref.post.coverage.counts)
-        trial.post.verify_consistency()
+    """The chain drivers reproduce the digests frozen while the
+    pre-trial apply/unapply kernel still ran alongside (both kernels
+    produced identical digests); see ``test_kernel_golden.py``."""
 
-    def test_speculative_chain_bitwise_parity(
-        self, small_filtered, small_spec, move_config
-    ):
-        def build():
-            post = PosteriorState(small_filtered, small_spec)
-            gen = MoveGenerator(small_spec, move_config)
-            return SpeculativeChain(post, gen, width=4, seed=23, record_every=50)
+    def test_markov_chain_bitwise_parity(self):
+        assert markov_digest(*small_scene_model()) == golden("chain/markov")
 
-        trial = build()
-        result_t = trial.run(1_500)
-        with legacy_kernel():
-            ref = build()
-            result_r = ref.run(1_500)
-        assert result_t.rounds == result_r.rounds
-        assert result_t.posterior_trace.values == result_r.posterior_trace.values
-        assert result_t.stats.generated == result_r.stats.generated
-        assert result_t.stats.accepted == result_r.stats.accepted
-        assert trial.post.snapshot_circles() == ref.post.snapshot_circles()
-        assert trial.post.log_posterior == ref.post.log_posterior
-        trial.post.verify_consistency()
+    def test_speculative_chain_bitwise_parity(self):
+        assert speculative_digest(*small_scene_model()) == golden("chain/speculative")
 
-    def test_mc3_bitwise_parity(self, small_filtered, small_spec, move_config):
-        def build():
-            posts = [PosteriorState(small_filtered, small_spec) for _ in range(3)]
-            gens = [MoveGenerator(small_spec, move_config) for _ in range(3)]
-            return MetropolisCoupledChains(
-                posts, gens, temperatures=[1.0, 1.6, 2.4], swap_every=25, seed=31
-            )
-
-        trial = build()
-        result_t = trial.run(600)
-        with legacy_kernel():
-            ref = build()
-            result_r = ref.run(600)
-        assert result_t.swap_attempts == result_r.swap_attempts
-        assert result_t.swap_accepts == result_r.swap_accepts
-        assert result_t.cold_posterior_trace.values == result_r.cold_posterior_trace.values
-        assert result_t.cold_stats.accepted == result_r.cold_stats.accepted
-        for post_t, post_r in zip(trial.posts, ref.posts):
-            assert post_t.log_posterior == post_r.log_posterior
-            assert post_t.snapshot_circles() == post_r.snapshot_circles()
-            # Cross-check cached coverage/posterior state against a full
-            # debug rebuild on every tempered chain, not just the cold one.
-            post_t.verify_consistency()
-            post_r.verify_consistency()
+    def test_mc3_bitwise_parity(self):
+        assert mc3_digest(*small_scene_model()) == golden("chain/mc3")
 
 
 # -- allocation discipline ----------------------------------------------------
@@ -343,7 +310,7 @@ class TestAllocationDiscipline:
         rng = np.random.default_rng(5)
         weights = rng.random((96, 96)) * 2.0 - 1.0
         cov = CoverageRaster(96, 96)
-        cov.add_disc(48.0, 48.0, 20.0, weights)
+        cov.add_disc_counts_only(48.0, 48.0, 20.0)
         # Warm the scratch with the biggest window the loop will see.
         cov.trial_remove_disc(48.0, 48.0, 20.0, weights)
         cov.trial_add_disc(47.0, 49.0, 20.0, weights)
@@ -354,7 +321,7 @@ class TestAllocationDiscipline:
         """Once scratch is warm, a full trial cycle (remove + add +
         discard/commit) performs zero Python-level numpy allocations —
         the per-call ``np.arange`` pair and broadcast temporaries of the
-        legacy window are gone."""
+        reference window are gone."""
         cov, weights = self._steady_raster()
         calls = []
 
@@ -394,23 +361,23 @@ class TestAllocationDiscipline:
 
     def test_trial_transient_memory_well_below_legacy(self):
         """tracemalloc peak over a trial cycle must be a small fraction
-        of the legacy cycle's (which allocates arange grids, broadcast
-        temporaries and fancy-index patches per disc).  The remaining
-        trial transient is the single boolean-gather of weights — kept
-        because fusing the reduction would change numpy's pairwise
-        summation order and break bit-parity."""
+        of an allocating reference cycle's — the same remove + add done
+        through ``_disc_window`` with fancy-index count updates (arange
+        grids, broadcast temporaries and fancy-index patches per disc).
+        The remaining trial transient is the single boolean-gather of
+        weights — kept because fusing the reduction would change numpy's
+        pairwise summation order and with it the chain."""
         cov, weights = self._steady_raster()
-        legacy = CoverageRaster(96, 96)
-        legacy.add_disc(48.0, 48.0, 20.0, weights)
+        ref_counts = cov.counts.copy()
 
         def trial_cycle():
             cov.trial_remove_disc(48.0, 48.0, 20.0, weights)
             cov.trial_add_disc(47.0, 49.0, 20.0, weights)
             cov.discard_pending()
 
-        def legacy_cycle():
-            legacy.remove_disc(48.0, 48.0, 20.0, weights)
-            legacy.add_disc(48.0, 48.0, 20.0, weights)
+        def reference_cycle():
+            reference_op(cov, ref_counts, 48.0, 48.0, 20.0, weights, -1)
+            reference_op(cov, ref_counts, 48.0, 48.0, 20.0, weights, +1)
 
         def peak(fn, rounds=20):
             fn()  # warm
@@ -426,5 +393,5 @@ class TestAllocationDiscipline:
             return worst
 
         trial_peak = peak(trial_cycle)
-        legacy_peak = peak(legacy_cycle)
-        assert trial_peak < 0.5 * legacy_peak, (trial_peak, legacy_peak)
+        reference_peak = peak(reference_cycle)
+        assert trial_peak < 0.5 * reference_peak, (trial_peak, reference_peak)
