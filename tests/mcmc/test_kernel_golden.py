@@ -27,6 +27,7 @@ the chain.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import sys
@@ -37,6 +38,7 @@ import numpy as np
 import pytest
 
 from repro.bench.workloads import synthetic_workload
+from repro.engine import run as engine_run
 from repro.imaging import SceneSpec, generate_scene, threshold_filter
 from repro.imaging.density import estimate_count
 from repro.mcmc import (
@@ -65,9 +67,7 @@ ENGINE_ITERATIONS = 1_500
 def _encode(value, out: List[str]) -> None:
     """Append a canonical token stream for *value* (floats as
     ``float.hex``, so equal digests mean bit-identical floats)."""
-    if isinstance(value, (bool, np.bool_)):
-        out.append("T" if value else "F")
-    elif isinstance(value, (float, np.floating)):
+    if isinstance(value, (float, np.floating)):
         out.append(float(value).hex())
     elif isinstance(value, (int, np.integer)):
         out.append(str(int(value)))
@@ -135,10 +135,6 @@ def engine_key(strategy: str, seed: int, batch: int) -> str:
 
 
 def engine_digest(strategy: str, seed: int, batch: int) -> str:
-    import dataclasses
-
-    from repro.engine import run as engine_run
-
     workload = synthetic_workload(size=96, n_circles=8, seed=5)
     request = workload.request(
         strategy, iterations=ENGINE_ITERATIONS, executor="serial", seed=seed
