@@ -9,17 +9,22 @@ and asserts the cluster layer's whole correctness contract:
    is bit-identical to a direct ``engine.run()`` of the same request;
 2. resubmitting a job lands on the same backend and is answered from
    its cache (affinity), still bit-identical;
-3. a backend killed mid-stream triggers failover and the job completes
+3. repeat hits: after an inline-pixel image's first touch, every repeat
+   is a cache hit whose circles digest equals a direct ``engine.run()``,
+   and the phase appends nothing to the router's job log;
+4. a backend killed mid-stream triggers failover and the job completes
    bit-identically on another node;
-4. a router restart with a pending job replays it from the JobLog under
+5. a router restart with a pending job replays it from the JobLog under
    the client's original job id;
-5. per-client quotas reject over-limit submitters with ``retry_after``.
+6. per-client quotas reject over-limit submitters with ``retry_after``.
 
 Exit status is non-zero on any violation.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import sys
 import threading
 import time
@@ -31,7 +36,7 @@ from repro.bench.workloads import synthetic_workload  # noqa: E402
 from repro.cluster import LocalCluster, QuotaPolicy  # noqa: E402
 from repro.engine import run  # noqa: E402
 from repro.errors import QuotaExceededError  # noqa: E402
-from repro.service import scene_job  # noqa: E402
+from repro.service import pixels_job, request_from_wire, scene_job  # noqa: E402
 
 SIZE = 64
 CIRCLES = 4
@@ -55,6 +60,12 @@ def reference_circles(strategy: str, seed: int, size=SIZE, circles=CIRCLES,
     result = run(workload.request(strategy, iterations=iterations, seed=seed,
                                   options=options))
     return sorted((c.x, c.y, c.r) for c in result.circles)
+
+
+def circles_digest(circles) -> str:
+    """sha256 over ``[x, y, r]`` in result order."""
+    rows = [[float(v) for v in c] for c in circles]
+    return hashlib.sha256(json.dumps(rows).encode("utf-8")).hexdigest()
 
 
 def main() -> int:
@@ -84,7 +95,32 @@ def main() -> int:
         check(stats["n_affinity_hits"] >= 1,
               f"router counted {stats['n_affinity_hits']} affinity hit(s)")
 
-        # 3. kill a backend mid-stream; the job must still complete
+        # 3. repeat hits on inline pixels: cached, digest-identical to a
+        # direct run, and no router job-log write (a hit is complete
+        # before its ack, so there is nothing to make durable)
+        specs = [
+            pixels_job(synthetic_workload(size=SIZE, n_circles=CIRCLES,
+                                          seed=seed).scene.image,
+                       iterations=ITERATIONS, seed=seed)
+            for seed in (21, 22)
+        ]
+        expected = [circles_digest((c.x, c.y, c.r) for c in
+                                   run(request_from_wire(spec)).circles)
+                    for spec in specs]
+        with cluster.client() as client:
+            for spec in specs:
+                client.detect(spec)  # first touch: a miss
+            wal = cluster.router.job_log
+            appended = wal.n_appended
+            for n, i in enumerate((0, 1, 0, 1, 1, 0)):
+                out = client.detect(specs[i])
+                check(out.cached and circles_digest(out.circles) == expected[i],
+                      f"repeat hit {n + 1}: cached, digest-identical to engine.run()")
+        check(wal.n_appended == appended,
+              f"repeat hits appended {wal.n_appended - appended} router "
+              "job-log record(s)")
+
+        # 4. kill a backend mid-stream; the job must still complete
         with cluster.client() as client:
             reply = client.submit(scene_job(**SLOW))
             rid, node = reply["job_id"], reply["node"]
@@ -109,7 +145,7 @@ def main() -> int:
               "failover result still bit-identical "
               f"({stats['n_failovers']} failover(s))")
 
-        # 4. router restart with a pending job: JobLog replay.  A fresh
+        # 5. router restart with a pending job: JobLog replay.  A fresh
         # seed, or the submit would be a cache hit (instantly complete,
         # nothing pending) — content addressing is thorough like that.
         pending = dict(SLOW, seed=5)
@@ -128,7 +164,7 @@ def main() -> int:
         check(sorted(out.circles) == expected5,
               "replayed job completed bit-identically under its original id")
 
-    # 5. quotas: over-limit client rejected with retry_after
+    # 6. quotas: over-limit client rejected with retry_after
     quota = QuotaPolicy(rate=0.5, burst=2)
     with LocalCluster(n_backends=2, mode="thread", workers=1,
                       router_log=False, quota=quota) as cluster:
@@ -150,7 +186,8 @@ def main() -> int:
             else:
                 check(False, "third rapid submission should exceed the quota")
 
-    print("cluster smoke: routing, affinity, failover, replay, quotas agree")
+    print("cluster smoke: routing, affinity, repeat hits, failover, replay, "
+          "quotas agree")
     return 0
 
 

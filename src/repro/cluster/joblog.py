@@ -1,10 +1,19 @@
 """Durable append-only job log: a JSON-lines WAL with replay + compaction.
 
 Both cluster roles persist their in-flight work through this one module:
-the :class:`~repro.cluster.router.ShardRouter` records every routed job
-and each :class:`~repro.service.server.DetectionService` backend records
-every admitted one, so a restart of either resumes pending jobs instead
-of forgetting them.
+the :class:`~repro.cluster.router.ShardRouter` records every job its
+dispatch leaves pending, and each
+:class:`~repro.service.server.DetectionService` backend records every
+job it queues, so a restart of either resumes pending jobs instead of
+forgetting them.
+
+Both roles log only work that is still pending.  A cache hit is complete
+before the client's ack is sent, so neither role writes a record for it:
+there is nothing a restart would need to replay, and the hit skips a
+write of its whole spec (inline pixels included).  "No acked job is
+lost" still holds: a pending job's ``submit`` (and, on the router, its
+``assign``) is flushed before its ack leaves the process.  At-most-once
+completion is unchanged too: a job with no record was never pending.
 
 The record vocabulary is three verbs over one job id:
 

@@ -17,12 +17,15 @@ a router from a single service.  What it adds:
   dead node excluded; a backend dying *mid-stream* re-dispatches the
   job to the next node in the key's rendezvous order and keeps the
   client's stream open — the client sees a longer job, not an error;
-* **durability**: every routed job is recorded in a
-  :class:`~repro.cluster.joblog.JobLog` (submit → assign → complete), so
-  a restarted router re-registers pending jobs under their original ids
-  and re-dispatches them on demand.  Completion is at-most-once in
-  effect: a job that finished just before an unlogged crash replays into
-  its owner's content-addressed cache and costs a lookup, not a rerun;
+* **durability**: every job still pending after its dispatch is
+  recorded in a :class:`~repro.cluster.joblog.JobLog` (submit → assign →
+  complete), so a restarted router re-registers pending jobs under their
+  original ids and re-dispatches them on demand.  A job the owner
+  answered at dispatch (a cache hit) is complete before the client sees
+  its ack and is never logged, exactly as the service does not log its
+  own cache hits.  Completion is at-most-once in effect: a job that
+  finished just before an unlogged crash replays into its owner's
+  content-addressed cache and costs a lookup, not a rerun;
 * **per-client quotas**: optional token buckets
   (:mod:`repro.cluster.quota`) reject over-limit submitters with the
   queue's retry-after backpressure shape;
@@ -68,7 +71,6 @@ from repro.cluster.joblog import JobLog
 from repro.cluster.pool import BackendNode, BackendPool
 from repro.cluster.quota import QuotaPolicy
 from repro.cluster.resultindex import ResultIndex
-from repro.engine.schema import request_key
 from repro.errors import (
     ClusterError,
     DeadlineExceededError,
@@ -91,10 +93,10 @@ from repro.service.policy import RetryPolicy
 from repro.service.protocol import (
     MAX_LINE_BYTES,
     TERMINAL_EVENTS,
+    SpecKeyMemo,
     decode_line,
     encode_line,
     error_reply,
-    request_from_wire,
 )
 from repro.service.server import LoopHandle, run_background_loop
 
@@ -123,17 +125,19 @@ class _ClientGone(Exception):
     fault: the proxy just ends, no failover, no health change."""
 
 
-def routing_key(spec: Dict[str, Any]) -> str:
+def routing_key(spec: Dict[str, Any], memo: Optional[SpecKeyMemo] = None) -> str:
     """The routing key of a job spec: its content-addressed
     :func:`request_key` (which also validates the spec), or — for
     uncacheable specs (entropy seeds) — a digest of the spec document
     itself, so routing stays deterministic even when caching cannot.
 
     O(pixels) for inline images; the router runs it on a parse thread,
-    exactly like the service does for admission.
+    exactly like the service does for admission.  With a *memo*, a spec
+    seen before is keyed from a hash of its bytes instead of a parse.
     """
-    request = request_from_wire(spec)  # raises ServiceError on a bad spec
-    key = request_key(request)
+    if memo is None:
+        memo = SpecKeyMemo()
+    _, key = memo.parse(spec)  # raises ServiceError on a bad spec
     if key is not None:
         return key
     canonical = json.dumps(spec, sort_keys=True, separators=(",", ":"), default=str)
@@ -146,10 +150,15 @@ def _router_job_id() -> str:
 
 @dataclass
 class RouterJob:
-    """One routed job: the client-facing id plus its current placement."""
+    """One routed job: the client-facing id plus its current placement.
+
+    ``spec`` is dropped (set to ``None``) once the job is terminal —
+    retained jobs answer status from their state and digest without
+    pinning the image pixels.
+    """
 
     rid: str
-    spec: Dict[str, Any]
+    spec: Optional[Dict[str, Any]]
     key: str
     client: Optional[str] = None
     priority: int = 0
@@ -158,6 +167,10 @@ class RouterJob:
     backend_job_id: Optional[str] = None
     n_dispatches: int = 0
     replayed: bool = False
+    #: Has a ``submit`` record in the job log: set when a dispatch
+    #: leaves the job pending, and for replayed jobs; only such jobs
+    #: get ``assign``/``complete`` records.
+    logged: bool = False
     #: Restored from the result index after a restart: terminal by
     #: construction, spec-less — answers status, never streams/replays.
     restored: bool = False
@@ -242,7 +255,12 @@ class ShardRouter:
     job_log:
         Optional :class:`JobLog` (or path) making routed jobs durable:
         pending jobs are re-registered on start and re-dispatched on
-        demand.
+        demand.  Only work still pending is logged.  A job whose
+        dispatch leaves it queued or running gets ``submit`` and
+        ``assign`` before its ack leaves the router, and ``complete``
+        when it ends.  A job the owner's cache answered at dispatch is
+        complete before its ack and gets no record at all.  So no acked
+        job is lost, and a cache hit costs no spec-sized log write.
     quota:
         Optional :class:`QuotaPolicy` applied per client id (the
         ``client`` field of submit messages, else the peer host).
@@ -326,6 +344,7 @@ class ShardRouter:
         self._parse_pool = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-router-parse"
         )
+        self._key_memo = SpecKeyMemo()
         self.started_at = time.monotonic()
         self.n_submitted = 0
         self.n_routed = 0
@@ -437,7 +456,7 @@ class ShardRouter:
         for pending in replay.pending.values():
             if pending.job_id in self._jobs:
                 continue
-            key = pending.key or routing_key(pending.spec)
+            key = pending.key or routing_key(pending.spec, self._key_memo)
             job = RouterJob(
                 rid=pending.job_id,
                 spec=pending.spec,
@@ -445,6 +464,7 @@ class ShardRouter:
                 client=pending.client,
                 priority=pending.priority,
                 replayed=True,
+                logged=True,
             )
             self._register(job)
             self.n_replayed += 1
@@ -464,7 +484,7 @@ class ShardRouter:
                 continue
             self._register(RouterJob(
                 rid=entry.job_id,
-                spec={},
+                spec=None,
                 key=entry.key or "",
                 state=entry.state,
                 restored=True,
@@ -529,8 +549,11 @@ class ShardRouter:
             # the router side too, so post-mortem trace assembly still
             # finds the router's submit/stream spans.
             mark_trace(job.trace_id, error=True)
-        if self.job_log is not None:
+        if self.job_log is not None and job.logged:
             self.job_log.log_complete(job.rid, state)
+        # Terminal jobs are never dispatched again: drop the spec (which
+        # pins the inline pixels) so retention holds ids, not images.
+        job.spec = None
         if self.result_index is not None:
             self.result_index.record(
                 job.rid, state, key=job.key or None, digest=job.result_digest
@@ -599,7 +622,13 @@ class ShardRouter:
     ) -> Dict[str, Any]:
         """Submit *job* to its rendezvous owner, walking the failover
         order past dead nodes.  Returns the backend's reply verbatim —
-        ``ok: false`` replies (queue-full, quota) propagate untouched."""
+        ``ok: false`` replies (queue-full, quota) propagate untouched.
+
+        Logging rule: a reply that leaves the job pending is made
+        durable (``submit`` once, then ``assign``) before this returns,
+        so before any client sees an ack.  A terminal reply (the owner's
+        cache answered) writes nothing here: the job is complete before
+        its ack, so there is nothing a restart could replay."""
         if job.deadline_at is not None and time.monotonic() >= job.deadline_at:
             # The client's budget is spent: shed instead of dispatching
             # doomed work.  Completed so the WAL never replays it.
@@ -638,14 +667,21 @@ class ShardRouter:
                         "cluster_affinity_hits_total",
                         "Placements answered from the owner's result cache.",
                     )
-                if self.job_log is not None:
-                    self.job_log.log_assign(
-                        job.rid, node=node_id, backend_job_id=job.backend_job_id
-                    )
                 if reply.get("state") in ("done", "failed", "cancelled"):
                     job.result_digest = self._digest_event(reply)
                     self._complete(job, reply["state"])
-                elif self.replication_factor > 1:
+                    return reply
+                if self.job_log is not None:
+                    if not job.logged:
+                        self.job_log.log_submit(
+                            job.rid, job.spec, key=job.key,
+                            client=job.client, priority=job.priority,
+                        )
+                        job.logged = True
+                    self.job_log.log_assign(
+                        job.rid, node=node_id, backend_job_id=job.backend_job_id
+                    )
+                if self.replication_factor > 1:
                     self._spawn_side_task(self._mirror(job))
             return reply
 
@@ -761,7 +797,7 @@ class ShardRouter:
                     "Warm standbys promoted to primary after a dead node.",
                     node=standby_node,
                 )
-                if self.job_log is not None:
+                if self.job_log is not None and job.logged:
                     self.job_log.log_assign(
                         job.rid, node=standby_node,
                         backend_job_id=job.backend_job_id,
@@ -801,7 +837,7 @@ class ShardRouter:
             with trace("cluster.submit", registry=self.obs,
                        node=self.node_id) as span:
                 key = await loop.run_in_executor(
-                    self._parse_pool, routing_key, spec
+                    self._parse_pool, routing_key, spec, self._key_memo
                 )
                 job = RouterJob(
                     rid=_router_job_id(), spec=spec, key=key,
@@ -814,21 +850,16 @@ class ShardRouter:
                     "Client submissions this router accepted.",
                 )
                 self._register(job)
-                if self.job_log is not None:
-                    self.job_log.log_submit(
-                        job.rid, spec, key=key, client=client,
-                        priority=priority,
-                    )
+                # Nothing is logged yet: _dispatch makes the job durable
+                # only if the owner leaves it pending.
                 try:
                     reply = await self._dispatch(job)
                 except ClusterError:
-                    # No healthy backends: the client sees the
-                    # rejection, so the logged submit must not replay
-                    # after a restart.
+                    # No healthy backends: the client sees the rejection.
                     self._complete(job, "cancelled")
                     raise
                 if not reply.get("ok"):
-                    # The client saw the rejection; must not replay.
+                    # The client saw the rejection.
                     self._complete(job, "cancelled")
                     return reply
                 return {**reply, "job_id": job.rid, "node": job.node_id}
@@ -959,7 +990,9 @@ class ShardRouter:
         if not isinstance(spec, dict):
             raise ServiceError("route needs a 'job' object")
         loop = asyncio.get_running_loop()
-        key = await loop.run_in_executor(self._parse_pool, routing_key, spec)
+        key = await loop.run_in_executor(
+            self._parse_pool, routing_key, spec, self._key_memo
+        )
         return {"ok": True, "key": key, "node": self.choose_node(key)}
 
     def stats(self) -> Dict[str, Any]:
@@ -1327,13 +1360,18 @@ class ShardRouter:
                     if not line:
                         raise ConnectionError("EOF mid-stream")
                     event = decode_line(line)
-                    yield event
                     name = event.get("event")
                     if name in TERMINAL_EVENTS:
+                        # Complete before relaying: the record is written
+                        # before the client can see the result, and a
+                        # consumer that closes at this yield cannot
+                        # leave the job pending.
                         job.result_digest = self._digest_event(event)
                         self._complete(job, _EVENT_STATE[name])
+                        yield event
                         note_stream_span()
                         return
+                    yield event
             except (OSError, ConnectionError, asyncio.TimeoutError,
                     asyncio.IncompleteReadError) as exc:
                 self.pool.mark_down(

@@ -245,6 +245,12 @@ class ResultCache:
     def __len__(self) -> int:
         return len(self._memory)
 
+    def __contains__(self, key: object) -> bool:
+        """Whether *key* is held in memory — no disk read, no stats and
+        no LRU touch, so a :meth:`get` right after it on the same thread
+        is a guaranteed hit."""
+        return key in self._memory
+
     @property
     def disk_entries(self) -> int:
         if self.directory is None or not self.directory.is_dir():

@@ -155,9 +155,11 @@ class OverlapPrior:
             return 0.0
         xs, ys, rs = config.xs, config.ys, config.rs
         total = 0.0
-        # exclude is a 0-2 element tuple in the hot path: plain
-        # membership beats building a set per call.
-        for i in candidates:
+        # Summed in index order: the spatial hash's order depends on its
+        # insert/remove history, and a rolled-back move must re-price to
+        # the same float.  exclude is a 0-2 element tuple in the hot
+        # path: plain membership beats building a set per call.
+        for i in sorted(candidates):
             if i in exclude:
                 continue
             total += circle_circle_overlap_area(

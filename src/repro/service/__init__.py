@@ -42,6 +42,7 @@ from repro.service.client import ServiceClient, StreamedDetection
 from repro.service.jobs import Job, JobState, TERMINAL_STATES
 from repro.service.policy import RetryPolicy, RetryState
 from repro.service.protocol import (
+    SpecKeyMemo,
     event_to_wire,
     pgm_job,
     pixels_job,
@@ -73,5 +74,6 @@ __all__ = [
     "pgm_job",
     "pixels_job",
     "request_from_wire",
+    "SpecKeyMemo",
     "event_to_wire",
 ]

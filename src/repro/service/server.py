@@ -17,7 +17,10 @@ Cache integration: submissions are content-addressed
 (:func:`repro.engine.schema.request_key`) and consulted against the
 optional :class:`~repro.engine.cache.ResultCache` *before* queueing — a
 hit completes the job instantly without occupying a queue slot or a
-worker; misses publish their merged result back into the cache.
+worker; misses publish their merged result back into the cache.  A
+:class:`~repro.service.protocol.SpecKeyMemo` remembers each parsed
+spec's key, so a repeat whose result is still cached is admitted from a
+hash of its bytes — its pixels are never decoded again.
 
 Threading: the event loop owns all job/queue state.  Engine work runs on
 a thread pool sized to ``workers``; the only loop-state touches from
@@ -42,7 +45,7 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro.engine import run_stream
 from repro.engine.cache import ResultCache, result_to_json
-from repro.engine.schema import ResultEvent, request_key
+from repro.engine.schema import ResultEvent
 from repro.errors import (
     DeadlineExceededError,
     JobNotFoundError,
@@ -65,11 +68,11 @@ from repro.service.jobs import Job, JobState
 from repro.service.protocol import (
     MAX_LINE_BYTES,
     TERMINAL_EVENTS,
+    SpecKeyMemo,
     decode_line,
     encode_line,
     error_reply,
     event_to_wire,
-    request_from_wire,
 )
 from repro.service.queue import JobQueue
 
@@ -184,6 +187,7 @@ class DetectionService:
         self._parse_pool = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-parse"
         )
+        self._key_memo = SpecKeyMemo()
         self.n_submitted = 0
         self.n_dispatched = 0
         self.n_cache_hits = 0
@@ -331,11 +335,15 @@ class DetectionService:
             self.job_log.close()
 
     # -- job control (loop thread) ---------------------------------------------
-    def _parse_spec(self, spec: Dict[str, Any]):
-        """Spec → (request, key).  O(pixels); runs on the parse thread."""
+    def _parse_spec(self, spec: Dict[str, Any], reuse: bool = False):
+        """Spec → (request, key).  O(pixels); runs on the parse thread.
+
+        With *reuse*, a spec the key memo knows returns
+        ``(None, key)`` without being decoded; only the loop can tell
+        whether that key is still cached (see :meth:`_submit_async`).
+        """
         parse_started = time.monotonic()
-        request = request_from_wire(spec)
-        key = request_key(request)
+        request, key = self._key_memo.parse(spec, reuse=reuse)
         self._record_stage("parse", time.monotonic() - parse_started)
         return request, key
 
@@ -387,11 +395,20 @@ class DetectionService:
         client = msg.get("client") or peer
         self._check_quota(client)
         loop = asyncio.get_running_loop()
+        spec = msg.get("job")
         request, key = await loop.run_in_executor(
-            self._parse_pool, self._parse_spec, msg.get("job")
+            self._parse_pool, self._parse_spec, spec, self.cache is not None
         )
+        if request is None and key not in self.cache:
+            # The memo knew the key but its result was evicted: the job
+            # has to run, so it needs its request after all.
+            request, key = await loop.run_in_executor(
+                self._parse_pool, self._parse_spec, spec
+            )
+        # No await between the membership test and admit(): a memo-hit
+        # admission is a guaranteed cache hit.
         return self.admit(request, key, msg.get("priority", 0),
-                          spec=msg.get("job"), client=client,
+                          spec=spec, client=client,
                           deadline=msg.get("deadline"),
                           trace_id=msg.get("trace"))
 
@@ -409,6 +426,8 @@ class DetectionService:
     ) -> Dict[str, Any]:
         """Admit a parsed request; returns the wire reply.
 
+        *request* may be ``None`` only when *key* is in the result
+        cache's memory — the memo-hit path, which never builds one.
         Raises :class:`QueueFullError` (backpressure) and
         :class:`ServiceError` (bad priority) for the handler to map
         onto error replies.  When a job log is configured and *spec* is

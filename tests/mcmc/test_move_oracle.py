@@ -94,6 +94,9 @@ def _check_oracle(post, move_type, seed) -> int:
 @settings(max_examples=25, deadline=None)
 @given(circles=st.lists(circle_st, max_size=7), seed=st.integers(0, 2**32 - 1))
 @example(circles=CLUSTER, seed=0)
+# A split whose rollback reordered the spatial hash: its re-price once
+# summed the same overlap terms in another order (1 ulp off).
+@example(circles=[(20.0, 20.0, 3.0), (20.0, 29.0, 8.0)], seed=0)
 def test_move_matches_from_scratch_oracle(
     move_type, circles, seed, small_filtered, small_spec
 ):
